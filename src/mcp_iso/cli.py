@@ -18,13 +18,7 @@ from typing import Sequence
 from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
-from .errors import (
-    AccuracyError,
-    BracketError,
-    DomainError,
-    InfeasibleSearchError,
-    PreconditionError,
-)
+from .errors import AccuracyError, DomainError, InfeasibleSearchError
 from .numerics import DEFAULT_TOLERANCE, Tolerance
 from .profile import (
     avr_lower_bound,
@@ -41,7 +35,9 @@ from .space import (
     verify_sharpness,
 )
 
-_USAGE_ERRORS = (DomainError, PreconditionError, BracketError, InfeasibleSearchError)
+# DomainError, PreconditionError and BracketError are ValueErrors; TypeError
+# and OverflowError come from malformed numbers in JSON input and sweeps.
+_USAGE_ERRORS = (ValueError, TypeError, OverflowError, InfeasibleSearchError)
 
 
 def _tolerance_from_env() -> Tolerance:
@@ -159,7 +155,7 @@ def _cmd_min_dimension(args, tol):
 
 def _cmd_avr(args, tol):
     space = space_from_dict(_load_json(args.space))
-    value, certified = avr(space, args.N, args.r_max, tol)
+    value, certified = avr(space, args.N, args.r_max)
     return ["avr", "certified"], [[value, certified]], True
 
 
@@ -173,7 +169,7 @@ def _cmd_bounds(args, tol):
 
 def _cmd_sharp(args, tol):
     space, extremal = sharp_space(args.avr, args.mass, args.N)
-    gap = verify_sharpness(args.avr, args.mass, args.N, tol)
+    gap = verify_sharpness(args.avr, args.mass, args.N)
     content = minkowski_content(space, extremal)
     bound = avr_lower_bound(args.N, args.avr, args.mass)
     headers = [
@@ -240,7 +236,7 @@ def _cmd_localize(args, tol):
     all_ordered = True
     for big_r in _parse_sweep(args.R, args.log):
         report = loc.dimension_reduction_chain(model, args.r, big_r, tol)
-        residual = loc.verify_disintegration(model, args.r, big_r, tol)
+        residual = loc.verify_disintegration(model, args.r, big_r)
         ordered = report.ordered(tol)
         all_ordered = all_ordered and ordered
         rows.append(

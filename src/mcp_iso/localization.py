@@ -124,9 +124,7 @@ def disintegrate_ball(
     return needle, model.total_angle * ray_mass
 
 
-def verify_disintegration(
-    model: RadialModel, r: float, R: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def verify_disintegration(model: RadialModel, r: float, R: float) -> float:
     """|m(B_r) - quotient_mass * per-ray mass of B_r|; zero up to rounding."""
     needle, quotient_mass = disintegrate_ball(model, r, R)
     per_ray = needle.normalized_density.integral(0.0, r)

@@ -52,35 +52,11 @@ def require_dimension(N: float) -> float:
     return float(N)
 
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative error is below
-# 1e-14 on the positive axis, which is what the unit_ball_volume contract needs.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-06,
-    1.5056327351493116e-07,
-)
-
-
 def gamma(x: float) -> float:
-    """Gamma function for positive real arguments (Lanczos approximation)."""
+    """Gamma function for positive real arguments."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"gamma requires a finite positive argument, got {x}")
-    if x < 0.5:
-        # Recurrence keeps the Lanczos series in its accurate range.
-        return gamma(x + 1.0) / x
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def unit_ball_volume(N: float) -> float:

@@ -137,11 +137,7 @@ def _require_subset(space: WeightedInterval, subset: IntervalUnion) -> None:
         )
 
 
-def measure(
-    space: WeightedInterval,
-    subset: IntervalUnion,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
+def measure(space: WeightedInterval, subset: IntervalUnion) -> float:
     """Weighted measure of the set; closed-form per-component integrals."""
     _require_subset(space, subset)
     return sum(space.h.integral(s, t) for s, t in subset.components)
@@ -212,12 +208,7 @@ def volume_ratio(space: WeightedInterval, N: float, r: float) -> float:
     return measure(space, ball) / (unit_ball_volume(N) * r ** N)
 
 
-def avr(
-    space: WeightedInterval,
-    N: float,
-    r_max: float = 1e6,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> AvrResult:
+def avr(space: WeightedInterval, N: float, r_max: float = 1e6) -> AvrResult:
     """Asymptotic volume ratio of the space.
 
     Bounded spaces have ratio 0, certified.  On the half line the limit is
@@ -266,12 +257,7 @@ def sharp_space(avr_value: float, mass: float, N: float) -> tuple[WeightedInterv
     return WeightedInterval(math.inf, h), IntervalUnion.of([(0.0, h.x_star)])
 
 
-def verify_sharpness(
-    avr_value: float,
-    mass: float,
-    N: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
+def verify_sharpness(avr_value: float, mass: float, N: float) -> float:
     """Boundary content of the extremal set minus the lower bound; ~0."""
     space, extremal = sharp_space(avr_value, mass, N)
     return minkowski_content(space, extremal) - avr_lower_bound(N, avr_value, mass)

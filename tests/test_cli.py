@@ -175,6 +175,28 @@ def test_missing_field_diagnostics(capsys, tmp_path):
     assert "density" in err
 
 
+@pytest.mark.parametrize(
+    "argv, space",
+    [
+        (("profile", "--N", "2", "--D", "1", "--v", "0:1:x"), None),
+        (("validate-density", "--N", "2"),
+         {"D": "foo", "density": {"type": "constant", "c": 1.0}}),
+        (("validate-density", "--N", "2"), {"D": 1.0, "density": {"type": "constant", "c": "a"}}),
+        (("validate-density", "--N", "2"), {"D": 1.0, "density": {"type": "constant", "c": None}}),
+        # Overflows inside the profile; an error now, a value once the profile is overflow-free.
+        (("profile", "--N", "30", "--D", "1", "--v", "0.5"), None),
+    ],
+    ids=["sweep-count", "space-D", "density-string", "density-null", "profile-overflow"],
+)
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, space):
+    if space is not None:
+        argv += ("--space", write_json(tmp_path, "space.json", space))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_byte_stability(capsys, tmp_path):
     args = ("bounds", "--N", "2.5", "--avr", "0.3", "--mass", "1.7")
     _, first, _ = run(capsys, *args)

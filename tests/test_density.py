@@ -76,6 +76,14 @@ def test_tabulated_integral_is_exact_trapezoid():
     assert h.integral(0.5, 1.5) == pytest.approx(0.75 + 1.0, rel=1e-12)
     with pytest.raises(DomainError):
         h.integral(0.0, 3.0)
+    # A sub-range of a long table: the same trapezoid sum as numpy's over
+    # the end points and the table nodes between them.
+    grid = np.linspace(0.0, 3.0, 2048)
+    h = TabulatedDensity(tuple(grid), tuple(1.0 + grid + np.sin(5.0 * grid)))
+    s, t = 0.3712, 2.1093
+    nodes = np.concatenate([[s], grid[(grid > s) & (grid < t)], [t]])
+    expected = np.trapezoid(np.interp(nodes, grid, h.values), nodes)
+    assert h.integral(s, t) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -173,6 +181,11 @@ def test_sharp_density_checks():
     assert check_mcp_density(h, INF, 2.9).status == "fail"
     # Restricted below the switch point everything is constant.
     assert check_mcp_density(h, 0.5 * h.x_star, 1.2).status == "pass_exact"
+    # Around the threshold N = h.N, on the half line and on [0, 4 x_star].
+    for dom in (INF, 4.0 * h.x_star):
+        assert check_mcp_density(h, dom, h.N - 1e-9).status == "fail"
+        assert check_mcp_density(h, dom, h.N - 1e-13).status == "pass_exact"
+        assert check_mcp_density(h, dom, h.N + 1e-9).status == "pass_exact"
 
 
 def test_scale_covariance_of_verdicts():
@@ -219,6 +232,12 @@ def test_half_line_pass_implies_bounded_pass():
 def test_minimal_dimension_of_monomials(p):
     n_star = minimal_mcp_dimension(MonomialDensity(1.0, p), INF, 1.0001, 10.0)
     assert n_star == pytest.approx(p + 1.0, abs=1e-6)
+    # Around the threshold N = p + 1: an excess below rel_tol is rounding dust.
+    h = MonomialDensity(1.0, p)
+    for dom in (INF, 3.0):
+        assert check_mcp_density(h, dom, p + 1.0 - 1e-9).status == "fail"
+        assert check_mcp_density(h, dom, p + 1.0 - 1e-13).status == "pass_exact"
+        assert check_mcp_density(h, dom, p + 1.0 + 1e-9).status == "pass_exact"
 
 
 def test_minimal_dimension_constant_returns_lower_end():
