@@ -22,7 +22,6 @@ from .density import (
     minimal_mcp_dimension,
 )
 from .errors import (
-    AccuracyError,
     BracketError,
     DomainError,
     InfeasibleSearchError,
@@ -41,7 +40,6 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     Tolerance,
     gamma,
-    integrate,
     invert_monotone,
     unit_ball_volume,
 )

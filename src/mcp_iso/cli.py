@@ -18,7 +18,7 @@ from typing import Sequence
 from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
-from .errors import AccuracyError, DomainError, InfeasibleSearchError
+from .errors import DomainError, InfeasibleSearchError
 from .numerics import DEFAULT_TOLERANCE, Tolerance
 from .profile import (
     avr_lower_bound,
@@ -48,7 +48,7 @@ def _tolerance_from_env() -> Tolerance:
         value = float(raw)
     except ValueError:
         raise DomainError(f"MCP_ISO_TOL must be a number, got {raw!r}")
-    return Tolerance(abs_tol=value, rel_tol=value, max_iter=DEFAULT_TOLERANCE.max_iter)
+    return Tolerance(abs_tol=value, rel_tol=value)
 
 
 def _parse_sweep(text: str, log: bool) -> list[float]:
@@ -328,9 +328,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         headers, rows, passed = args.func(args, tol)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AccuracyError as exc:
-        print(f"error: {exc} (best estimate {exc.best_estimate})", file=sys.stderr)
         return 1
     _emit(headers, rows, args.format, args.precision)
     return 0 if passed else 2

@@ -48,15 +48,28 @@ _QUOTIENT_ROUNDING = 16 * np.finfo(float).eps
 
 
 class Density:
-    """Base class for the supported weight-function families."""
+    """Base class for the supported weight-function families.
+
+    h(x) and h.integral(s, t) take a float or a numpy array (x, respectively
+    t with a scalar s): a float gives a float, an array an array of the same
+    shape.  A family implements both on arrays, in _eval and _integral.
+    """
 
     kind: str = "abstract"
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        hv = self._eval(np.asarray(x, dtype=float))
+        return float(hv) if np.ndim(hv) == 0 else hv
+
+    def integral(self, s: float, t):
+        """Exact integral of the weight over [s, t]."""
+        total = self._integral(float(s), np.asarray(t, dtype=float))
+        return float(total) if np.ndim(total) == 0 else total
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def integral(self, s: float, t: float) -> float:
-        """Exact integral of the weight over [s, t]."""
+    def _integral(self, s: float, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def scaled(self, factor: float) -> "Density":
@@ -93,10 +106,10 @@ class ConstantDensity(Density):
     def __post_init__(self):
         _require_positive("constant level c", self.c)
 
-    def __call__(self, x: float) -> float:
-        return self.c
+    def _eval(self, xs):
+        return np.full(xs.shape, self.c)
 
-    def integral(self, s: float, t: float) -> float:
+    def _integral(self, s, t):
         return self.c * (t - s)
 
     def scaled(self, factor: float) -> "ConstantDensity":
@@ -122,12 +135,10 @@ class MonomialDensity(Density):
         if not (math.isfinite(self.p) and self.p >= 0.0):
             raise DomainError(f"monomial exponent must be >= 0, got {self.p}")
 
-    def __call__(self, x: float) -> float:
-        if self.p == 0.0:
-            return self.c
-        return self.c * x ** self.p
+    def _eval(self, xs):
+        return self.c * xs ** self.p
 
-    def integral(self, s: float, t: float) -> float:
+    def _integral(self, s, t):
         q = self.p + 1.0
         return self.c * (t ** q - s ** q) / q
 
@@ -178,28 +189,23 @@ class PiecewiseMonomialDensity(Density):
             if abs(left - right) > _CONTINUITY_RTOL * max(abs(left), abs(right), 1.0):
                 raise DomainError(f"pieces disagree at breakpoint {b}: {left} vs {right}")
 
-    def _piece_at(self, x: float) -> tuple[float, float]:
-        k = 0
-        for b in self.break_values:
-            if x <= b:
-                break
-            k += 1
-        return self.pieces[k]
+    def _eval(self, xs):
+        # Piece k covers (b_{k-1}, b_k]: x at a breakpoint takes the left piece.
+        k = np.searchsorted(self.break_values, xs, side="left")
+        c, p = np.asarray(self.pieces).T
+        return c[k] * xs ** p[k]
 
-    def __call__(self, x: float) -> float:
-        c, p = self._piece_at(x)
-        if p == 0.0:
-            return c
-        return c * x ** p
-
-    def integral(self, s: float, t: float) -> float:
+    def _integral(self, s, t):
         bounds = (0.0,) + self.break_values + (math.inf,)
-        total = 0.0
+        total = np.zeros(t.shape)
         for (c, p), lo, hi in zip(self.pieces, bounds, bounds[1:]):
+            # [a, b] is the part of [s, t] inside this piece, empty as b = a.
             a = max(s, lo)
-            b = min(t, hi)
-            if b > a:
-                q = p + 1.0
+            b = np.maximum(np.minimum(t, hi), a)
+            q = p + 1.0
+            if q == 0.0:  # only after the first piece, where a >= lo > 0
+                total += c * np.log(b / a)
+            else:
                 total += c * (b ** q - a ** q) / q
         return total
 
@@ -241,37 +247,28 @@ class SharpDensity(Density):
         _require_positive("avr", self.avr)
         _require_positive("mass", self.mass)
         require_dimension(self.N)
-
-    @property
-    def tail_coefficient(self) -> float:
-        return self.N * unit_ball_volume(self.N) * self.avr
-
-    @property
-    def x_star(self) -> float:
-        return (self.mass / self.tail_coefficient) ** (1.0 / self.N)
-
-    @property
-    def level(self) -> float:
-        return self.tail_coefficient ** (1.0 / self.N) * self.mass ** (
-            (self.N - 1.0) / self.N
+        # Derived constants, kept out of the dataclass fields.
+        tail_coefficient = self.N * unit_ball_volume(self.N) * self.avr
+        object.__setattr__(self, "tail_coefficient", tail_coefficient)
+        object.__setattr__(self, "x_star", (self.mass / tail_coefficient) ** (1.0 / self.N))
+        object.__setattr__(
+            self,
+            "level",
+            tail_coefficient ** (1.0 / self.N) * self.mass ** ((self.N - 1.0) / self.N),
         )
 
-    def __call__(self, x: float) -> float:
-        if x <= self.x_star:
-            return self.level
-        return self.tail_coefficient * x ** (self.N - 1.0)
+    def _eval(self, xs):
+        return np.where(xs <= self.x_star, self.level,
+                        self.tail_coefficient * xs ** (self.N - 1.0))
 
-    def integral(self, s: float, t: float) -> float:
-        xs = self.x_star
-        total = 0.0
-        a, b = max(s, 0.0), min(t, xs)
-        if b > a:
-            total += self.level * (b - a)
-        a, b = max(s, xs), t
-        if b > a:
-            c = self.tail_coefficient
-            total += c * (b ** self.N - a ** self.N) / self.N
-        return total
+    def _integral(self, s, t):
+        # The flat part of [s, t], then the power part; each is empty as b = a.
+        a = max(s, 0.0)
+        b = np.maximum(np.minimum(t, self.x_star), a)
+        total = self.level * (b - a)
+        a = max(s, self.x_star)
+        b = np.maximum(t, a)
+        return total + self.tail_coefficient * (b ** self.N - a ** self.N) / self.N
 
     def scaled(self, factor: float) -> "SharpDensity":
         # Scaling stays in the family: both avr and mass pick up the factor
@@ -323,24 +320,24 @@ class TabulatedDensity(Density):
     def support_end(self) -> float:  # type: ignore[override]
         return self.grid[-1]
 
-    def __call__(self, x: float) -> float:
-        if x < self.grid[0] or x > self.grid[-1]:
-            raise DomainError(f"tabulated density not defined at {x}")
-        return float(np.interp(x, self._grid, self._values))
+    def _eval(self, xs):
+        if np.any((xs < self.grid[0]) | (xs > self.grid[-1])):
+            raise DomainError(f"tabulated density not defined at {xs}")
+        return np.interp(xs, self._grid, self._values)
 
-    def integral(self, s: float, t: float) -> float:
-        # Exact for the piecewise-linear interpolant.
-        if s < self.grid[0] or t > self.grid[-1]:
+    def _integral(self, s, t):
+        # Exact for the piecewise-linear interpolant: trapezoids from s over
+        # the table nodes above it, summed left to right, then the piece from
+        # the last knot below t to t.
+        if s < self.grid[0] or np.any(t > self.grid[-1]):
             raise DomainError("integration range escapes the tabulated grid")
-        if t <= s:
-            return 0.0
-        nodes = self.grid[bisect.bisect_right(self.grid, s):bisect.bisect_left(self.grid, t)]
-        xs = [s, *nodes, t]
-        vals = [self(x) for x in xs]
-        total = 0.0
-        for (x0, x1), (v0, v1) in zip(zip(xs, xs[1:]), zip(vals, vals[1:])):
-            total += 0.5 * (v0 + v1) * (x1 - x0)
-        return total
+        a = bisect.bisect_right(self.grid, s)
+        knots = np.concatenate([[s], self._grid[a:]])
+        kv = np.interp(knots, self._grid, self._values)
+        run = np.concatenate([[0.0], np.cumsum(0.5 * (kv[:-1] + kv[1:]) * np.diff(knots))])
+        m = np.maximum(np.searchsorted(self._grid, t, side="left") - a, 0)
+        last = 0.5 * (kv[m] + np.interp(t, self._grid, self._values)) * (t - knots[m])
+        return np.where(t > s, run[m] + last, 0.0)
 
     def scaled(self, factor: float) -> "TabulatedDensity":
         return TabulatedDensity(self.grid, tuple(v * factor for v in self.values))
@@ -492,7 +489,8 @@ def _sampled_witness(
 
 def _pair_witness(h: Density, x0: float, x1: float, D: float, N: float,
                   rel_tol: float) -> Optional[Witness]:
-    return _sampled_witness(np.array([x0, x1]), np.array([h(x0), h(x1)]), D, N, rel_tol)
+    xs = np.array([x0, x1])
+    return _sampled_witness(xs, h(xs), D, N, rel_tol)
 
 
 def _check_impl(
@@ -514,8 +512,7 @@ def _check_impl(
         return Verdict(PASS_EXACT) if witness is None else Verdict(FAIL, witness)
 
     xs = _sample_grid(h, D, grid_points)
-    hv = np.asarray([h(float(x)) for x in xs])
-    witness = _sampled_witness(xs, hv, D, N, tol.rel_tol)
+    witness = _sampled_witness(xs, h(xs), D, N, tol.rel_tol)
     if witness is None and math.isinf(D):
         if isinstance(h, PiecewiseMonomialDensity):
             # Pairs inside the last piece reduce to its exponent; pairs that

@@ -15,16 +15,5 @@ class PreconditionError(ValueError):
     """A caller-supplied precondition failed a runtime sanity check."""
 
 
-class AccuracyError(RuntimeError):
-    """A numerical routine could not reach the requested accuracy.
-
-    Carries the best estimate computed so far in ``best_estimate``.
-    """
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class InfeasibleSearchError(RuntimeError):
     """No candidate set satisfied the volume window of a brute-force search."""

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: special functions, quadrature, monotone inversion.
+"""Shared numerical kernels: special functions and monotone inversion.
 
 Everything here is pure and deterministic; no global mutable state.
 """
@@ -9,37 +9,29 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import AccuracyError, BracketError, DomainError, PreconditionError
+from .errors import BracketError, DomainError, PreconditionError
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
     "gamma",
     "unit_ball_volume",
-    "integrate",
     "invert_monotone",
 ]
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy targets shared by the numerical routines.
-
-    abs_tol and rel_tol are strictly positive; max_iter bounds the number of
-    refinement steps (bisection iterations, quadrature recursion depth).
-    """
+    """Accuracy targets shared by the numerical routines (strictly positive)."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_iter: int = 80
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
             raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -69,69 +61,6 @@ def unit_ball_volume(N: float) -> float:
     return math.pi ** (N / 2.0) / gamma(N / 2.0 + 1.0)
 
 
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
-    """Adaptive Simpson quadrature of f over [a, b].
-
-    The target accuracy is max(abs_tol, rel_tol * |result|).  Intervals are
-    bisected until the local Richardson estimate meets its share of the
-    budget; if the recursion depth cap (tol.max_iter) is hit anywhere, an
-    AccuracyError carrying the best available estimate is raised.
-    """
-    if not (a <= b):
-        raise DomainError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not all(math.isfinite(v) for v in (fa, fm, fb)):
-        raise DomainError("integrand is not finite on [a, b]")
-    whole = _simpson(fa, fm, fb, b - a)
-    # One coarse pass to set the relative-error scale.
-    scale = max(abs(whole), 1.0)
-    eps = max(tol.abs_tol, tol.rel_tol * scale)
-
-    converged = True
-
-    def _adapt(x0, x2, f0, f1, f2, area, budget, depth):
-        nonlocal converged
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(f0, flm, f1, x1 - x0)
-        right = _simpson(f1, frm, f2, x2 - x1)
-        refined = left + right
-        err = (refined - area) / 15.0
-        if abs(err) <= budget:
-            return refined + err
-        if depth >= tol.max_iter:
-            converged = False
-            return refined + err
-        half = 0.5 * budget
-        return _adapt(x0, x1, f0, flm, f1, left, half, depth + 1) + _adapt(
-            x1, x2, f1, frm, f2, right, half, depth + 1
-        )
-
-    result = _adapt(a, b, fa, fm, fb, whole, eps, 0)
-    if not converged:
-        raise AccuracyError(
-            f"adaptive quadrature did not converge within depth {tol.max_iter}",
-            best_estimate=result,
-        )
-    return result
-
-
 def invert_monotone(
     g: Callable[[float], float],
     target: float,
@@ -144,7 +73,7 @@ def invert_monotone(
     Bracketing with secant acceleration; bisection is the fallback so the
     bracket always shrinks.  Runs until the bracket width drops below
     abs_tol (or the residual vanishes exactly), so the returned abscissa is
-    accurate to abs_tol.  Deterministic.
+    accurate to abs_tol.  Stops after at most 80 steps.  Deterministic.
     """
     if not (lo < hi):
         raise DomainError(f"invert_monotone requires lo < hi, got [{lo}, {hi}]")
@@ -168,7 +97,7 @@ def invert_monotone(
 
     flo = glo - target
     fhi = ghi - target
-    for _ in range(max(tol.max_iter, 64)):
+    for _ in range(80):
         if hi - lo <= tol.abs_tol:
             break
         # Secant proposal from the bracket endpoints, clamped to the interior.

@@ -41,8 +41,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.grid_points < 2:
             raise DomainError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.max_components < 1:
-            raise DomainError(f"max_components must be >= 1, got {self.max_components}")
+        if self.max_components not in (1, 2):
+            raise DomainError(f"max_components must be 1 or 2, got {self.max_components}")
         if not self.volume_tolerance > 0.0:
             raise DomainError("volume_tolerance must be positive")
         if self.target_volume < 0.0:
@@ -78,8 +78,8 @@ def _resolve_window(space: WeightedInterval, cfg: SearchConfig) -> float:
 
 def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int):
     xs = np.linspace(0.0, window, grid_points)
-    prefix = np.asarray([space.h.integral(0.0, float(x)) for x in xs])
-    hv = np.asarray([space.h(float(x)) for x in xs])
+    prefix = space.h.integral(0.0, xs)
+    hv = space.h(xs)
     left_w = np.where(xs > 0.0, hv, 0.0)
     right_w = np.where(xs < space.D, hv, 0.0)
     return xs, prefix, left_w, right_w
@@ -168,21 +168,22 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         consider(0.0, ())
         examined += 1
 
-    # All intervals light enough to ever participate: measure <= v + tau.
-    iv_i_parts, iv_j_parts = [], []
-    for i in range(n):
-        j_hi = int(np.searchsorted(prefix, prefix[i] + v + tau, side="right")) - 1
-        if j_hi >= i:
-            iv_i_parts.append(np.full(j_hi - i + 1, i, dtype=np.int64))
-            iv_j_parts.append(np.arange(i, j_hi + 1, dtype=np.int64))
-    if iv_i_parts:
-        iv_i = np.concatenate(iv_i_parts)
-        iv_j = np.concatenate(iv_j_parts)
-        iv_m = prefix[iv_j] - prefix[iv_i]
-        iv_c = left_w[iv_i] + right_w[iv_j]
-    else:
-        iv_i = iv_j = np.empty(0, dtype=np.int64)
-        iv_m = iv_c = np.empty(0)
+    # Every interval [x_i, x_j] light enough to take part, ordered by (i, j):
+    # measure <= v + tau, and with one component also >= v - tau.  That lower
+    # end is widened past the rounding of the prefix sums and then applied
+    # exactly below, so the window loses no interval.
+    starts = np.arange(n)
+    j_hi = np.searchsorted(prefix, prefix + v + tau, side="right") - 1
+    j_lo = starts
+    if cfg.max_components == 1:
+        widen = 16.0 * np.finfo(float).eps * (np.abs(prefix).max() + abs(v) + tau)
+        lower = np.searchsorted(prefix, prefix + (v - tau - widen), side="left")
+        j_lo = np.maximum(lower, starts)
+    counts = np.maximum(j_hi - j_lo + 1, 0)
+    iv_i = np.repeat(starts, counts)
+    iv_j = np.arange(len(iv_i)) - np.repeat(np.cumsum(counts) - counts - j_lo, counts)
+    iv_m = prefix[iv_j] - prefix[iv_i]
+    iv_c = left_w[iv_i] + right_w[iv_j]
 
     # Single intervals inside the window.
     singles = iv_m >= v - tau
@@ -195,7 +196,7 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         k = order[0]
         consider(float(cand_c[k]), (float(xs[cand_i[k]]), float(xs[cand_j[k]])))
 
-    if cfg.max_components >= 2 and len(iv_i) > 0:
+    if cfg.max_components == 2 and len(iv_i) > 0:
         # Offline join: walk first-interval groups by right endpoint j1 in
         # descending order, inserting second intervals with start j1 + 1, so
         # the tree always holds exactly the disjoint continuations.
@@ -302,7 +303,7 @@ def certify_bound(
         else:
             window = _resolve_window(space, cfg)
         xs, prefix, _, _ = _grid_and_measures(space, window, cfg.grid_points)
-        hv_max = max(float(space.h(float(x))) for x in xs)
+        hv_max = float(space.h(xs).max())
         slack = _grid_slack(prefix, hv_max)
         gap = float(np.diff(prefix).max())
         run_cfg = replace(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -58,6 +59,10 @@ def test_piecewise_evaluation_and_integral():
     assert h(2.0) == 2.0
     assert h.integral(0.0, 2.0) == pytest.approx(1.0 + 1.5, rel=1e-14)
     assert h.integral(0.5, 1.5) == pytest.approx(0.5 + 0.625, rel=1e-14)
+    # A piece with exponent -1 integrates to c log(b/a).
+    h = PiecewiseMonomialDensity((1.0,), ((1.0, 0.0), (1.0, -1.0)))
+    assert h.integral(0.5, 2.0) == pytest.approx(0.5 + math.log(2.0), rel=1e-14)
+    assert h.integral(0.5, np.array([2.0]))[0] == pytest.approx(0.5 + math.log(2.0), rel=1e-14)
 
 
 def test_sharp_density_geometry():
@@ -84,6 +89,58 @@ def test_tabulated_integral_is_exact_trapezoid():
     nodes = np.concatenate([[s], grid[(grid > s) & (grid < t)], [t]])
     expected = np.trapezoid(np.interp(nodes, grid, h.values), nodes)
     assert h.integral(s, t) == pytest.approx(expected, rel=1e-13)
+
+
+def _family_cases():
+    """Per family: the density, its weight in mpmath from the parameters,
+    the points where that weight has a kink, and the right end of a grid."""
+    mpf = mpmath.mpf
+    c2 = 0.7 ** 1.1
+    c3 = c2 * 1.9 ** 1.4
+    pieces = ((1.0, 1.5), (c2, 0.4), (c3, -1.0))
+    grid = (0.0, 0.4, 1.1, 1.5, 2.2, 3.0)
+    values = (0.0, 0.9, 1.2, 1.2, 2.0, 2.6)
+    avr, mass, n = 0.23, 1.3, 2.7
+
+    def piecewise(y):
+        k = sum(y > b for b in (0.7, 1.9))
+        c, p = pieces[k]
+        return mpf(c) * y ** mpf(p)
+
+    def tabulated(y):
+        k = max(i for i, g in enumerate(grid[:-1]) if g <= y)
+        g0, g1 = mpf(grid[k]), mpf(grid[k + 1])
+        return mpf(values[k]) + (mpf(values[k + 1]) - values[k]) * (y - g0) / (g1 - g0)
+
+    tc = n * mpmath.pi ** (mpf(n) / 2) / mpmath.gamma(mpf(n) / 2 + 1) * avr
+    x_star = (mass / tc) ** (1 / mpf(n))
+    level = tc ** (1 / mpf(n)) * mpf(mass) ** ((mpf(n) - 1) / n)
+    return {
+        "constant": (ConstantDensity(1.7), lambda y: mpf(1.7), (), 3.0),
+        "monomial": (MonomialDensity(2.0 * math.pi, 1.37),
+                     lambda y: 2 * mpmath.pi * y ** mpf(1.37), (), 3.0),
+        "piecewise": (PiecewiseMonomialDensity((0.7, 1.9), pieces), piecewise, (0.7, 1.9), 3.0),
+        "sharp": (SharpDensity(avr, mass, n),
+                  lambda y: level if y <= x_star else tc * y ** (mpf(n) - 1), (x_star,), 3.0),
+        "tabulated": (TabulatedDensity(grid, values), tabulated, grid[1:-1], 3.0),
+    }
+
+
+@pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
+def test_array_calls_match_scalar_calls_and_quadrature(family):
+    h, weight, kinks, hi = _family_cases()[family]
+    xs = np.linspace(0.0, hi, 301)
+    hv, prefix = h(xs), h.integral(0.0, xs)
+    assert isinstance(h(1.0), float) and isinstance(h.integral(0.0, 1.0), float)
+    scalar_h = np.array([h(float(x)) for x in xs])
+    scalar_prefix = np.array([h.integral(0.0, float(x)) for x in xs])
+    assert np.all(np.abs(hv - scalar_h) <= 4 * np.spacing(scalar_h))
+    assert np.all(np.abs(prefix - scalar_prefix) <= 4 * np.spacing(scalar_prefix))
+    with mpmath.workdps(30):
+        for x, value in zip(xs[1::20], prefix[1::20]):
+            cuts = [0.0] + [k for k in kinks if k < x] + [x]
+            exact = mpmath.quad(weight, [mpmath.mpf(c) for c in cuts])
+            assert value == pytest.approx(float(exact), rel=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,15 @@
-"""Kernel tests: ball volumes, adaptive quadrature, monotone inversion."""
+"""Kernel tests: ball volumes, monotone inversion."""
 
 import math
 
 import pytest
 
 from mcp_iso import (
-    AccuracyError,
     BracketError,
     DomainError,
     PreconditionError,
     Tolerance,
     gamma,
-    integrate,
     invert_monotone,
     unit_ball_volume,
 )
@@ -50,48 +48,6 @@ def test_ball_volume_recurrence(n):
     )
 
 
-def test_integrate_constant_and_linear():
-    assert integrate(lambda y: 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert integrate(lambda y: y, 0.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_integrate_monomial_tail():
-    # int_0^2 y^(N-1) dy = 2^N / N for N = 3
-    assert integrate(lambda y: y * y, 0.0, 2.0) == pytest.approx(8.0 / 3.0, rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "coeffs,exact",
-    [
-        ((0.0, 0.0, 0.0, 0.0, 1.0), 1.0 / 5.0),  # y^4 on [0,1]
-        ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 1.0 / 6.0),  # y^5 on [0,1]
-        ((1.0, -2.0, 3.0, 0.5, -1.0, 2.0), 1.0 - 1.0 + 1.0 + 0.125 - 0.2 + 1.0 / 3.0),
-    ],
-)
-def test_integrate_polynomials_exact(coeffs, exact):
-    def poly(y):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        return acc
-
-    assert integrate(poly, 0.0, 1.0) == pytest.approx(exact, rel=1e-12)
-
-
-def test_integrate_empty_and_reversed():
-    assert integrate(lambda y: 5.0, 2.0, 2.0) == 0.0
-    with pytest.raises(DomainError):
-        integrate(lambda y: 1.0, 1.0, 0.0)
-
-
-def test_integrate_depth_cap_carries_best_estimate():
-    tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_iter=2)
-    with pytest.raises(AccuracyError) as err:
-        integrate(lambda y: math.sin(40.0 * y) ** 2 / (1e-3 + y), 0.0, 1.0, tight)
-    assert math.isfinite(err.value.best_estimate)
-    assert err.value.best_estimate > 0.0
-
-
 def test_invert_monotone_identity_and_square():
     assert invert_monotone(lambda x: x, 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
     assert invert_monotone(lambda x: x * x, 0.25, 0.0, 1.0) == pytest.approx(0.5, abs=1e-10)
@@ -118,5 +74,3 @@ def test_tolerance_validation():
         Tolerance(abs_tol=0.0)
     with pytest.raises(DomainError):
         Tolerance(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        Tolerance(max_iter=0)

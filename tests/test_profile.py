@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from mcp_iso import (
@@ -11,7 +12,6 @@ from mcp_iso import (
     eval_f,
     eval_v,
     expansion_leading_coefficient,
-    integrate,
     invert_v,
     profile_mcp,
     unit_ball_volume,
@@ -19,10 +19,12 @@ from mcp_iso import (
 
 
 def quadrature_f(n, d, x):
-    """The defining-integral oracle for the boundary factor."""
-    first = integrate(lambda y: ((d - y) / (d - x)) ** (n - 1.0), 0.0, x)
-    second = integrate(lambda y: (y / x) ** (n - 1.0), x, d)
-    return 1.0 / (first + second)
+    """The defining-integral oracle for the boundary factor, at 50 digits."""
+    with mpmath.workdps(50):
+        n, d, x = mpmath.mpf(n), mpmath.mpf(d), mpmath.mpf(x)
+        first = mpmath.quad(lambda y: ((d - y) / (d - x)) ** (n - 1), [0, x])
+        second = mpmath.quad(lambda y: (y / x) ** (n - 1), [x, d])
+        return float(1 / (first + second))
 
 
 def test_eval_f_golden():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mcp_iso import (
@@ -12,6 +13,8 @@ from mcp_iso import (
     MonomialDensity,
     PiecewiseMonomialDensity,
     SearchConfig,
+    SharpDensity,
+    TabulatedDensity,
     WeightedInterval,
     avr_lower_bound,
     brute_force_profile,
@@ -19,6 +22,7 @@ from mcp_iso import (
     sharp_space,
     unit_ball_volume,
 )
+from mcp_iso.search import _grid_and_measures
 
 
 def unit_space():
@@ -140,6 +144,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(target_volume=0.1, volume_tolerance=0.1, max_components=0)
     with pytest.raises(DomainError):
+        SearchConfig(target_volume=0.1, volume_tolerance=0.1, max_components=3)
+    with pytest.raises(DomainError):
         SearchConfig(target_volume=-0.1, volume_tolerance=0.1)
 
 
@@ -182,3 +188,82 @@ def test_certify_bound_trivial_on_zero_avr():
     assert report.passed
     for row in report.rows:
         assert row.bound == 0.0
+
+
+def naive_search(prefix, left_w, right_w, v, tau, components):
+    """O(n^4) enumeration of the empty set and of unions of up to two
+    disjoint grid intervals [x_i, x_j] with measure within tau of v.
+
+    Returns the smallest (content, endpoint indices) and the count of
+    candidates, in the search's tie order.
+    """
+    n = len(prefix)
+    intervals = [
+        (float(prefix[j] - prefix[i]), float(left_w[i] + right_w[j]), i, j)
+        for i in range(n)
+        for j in range(i, n)
+    ]
+    best, count = None, 0
+    if abs(v) <= tau:
+        best, count = (0.0, ()), 1
+    for m, c, i, j in intervals:
+        if v - tau <= m <= v + tau:
+            count += 1
+            cand = (c, (i, j))
+            best = cand if best is None or cand < best else best
+        if components < 2:
+            continue
+        for m2, c2, i2, j2 in intervals:
+            if i2 > j and v - tau <= m + m2 <= v + tau:
+                count += 1
+                cand = (c + c2, (i, j, i2, j2))
+                best = cand if best is None or cand < best else best
+    return best, count
+
+
+def _random_space(family, rng):
+    """A seeded space of the family and a search window inside it."""
+    if family == "constant":
+        D = rng.uniform(0.5, 3.0)
+        return WeightedInterval(D, ConstantDensity(rng.uniform(0.2, 3.0))), D
+    if family == "monomial":
+        D = rng.uniform(0.5, 3.0)
+        return WeightedInterval(D, MonomialDensity(rng.uniform(0.2, 3.0), rng.uniform(0.0, 3.0))), D
+    if family == "piecewise":
+        b = np.sort(rng.uniform(0.3, 2.7, size=2))
+        p = (rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        c = [1.0]
+        for k in range(2):
+            c.append(c[-1] * b[k] ** (p[k] - p[k + 1]))
+        h = PiecewiseMonomialDensity(tuple(b), tuple(zip(c, p)))
+        return WeightedInterval(3.0, h), 3.0
+    if family == "sharp":
+        h = SharpDensity(rng.uniform(0.05, 1.0), rng.uniform(0.3, 2.0), rng.uniform(1.2, 4.0))
+        return WeightedInterval(math.inf, h), h.x_star * rng.uniform(1.2, 4.0)
+    grid = np.sort(np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, size=4)]))
+    h = TabulatedDensity(tuple(grid), tuple(rng.uniform(0.1, 2.0, size=6)))
+    return WeightedInterval(2.0, h), 2.0
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
+def test_search_matches_naive_enumeration(family, components):
+    rng = np.random.default_rng([components, len(family)])
+    for _ in range(4):
+        space, window = _random_space(family, rng)
+        n = int(rng.integers(8, 32))
+        xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
+        v = rng.uniform(0.05, 0.7) * prefix[-1]
+        tau = rng.uniform(0.3, 2.0) * float(np.diff(prefix).max())
+        cfg = SearchConfig(target_volume=v, volume_tolerance=tau, grid_points=n,
+                           max_components=components, window=window)
+        best, count = naive_search(prefix, left_w, right_w, v, tau, components)
+        if best is None:
+            with pytest.raises(InfeasibleSearchError):
+                brute_force_profile(space, cfg)
+            continue
+        out = brute_force_profile(space, cfg)
+        assert out.sets_examined == count
+        ends = tuple(e for comp in out.best_set.components for e in comp)
+        assert ends == tuple(float(xs[k]) for k in best[1])
+        assert out.content == pytest.approx(best[0], rel=1e-12)
