@@ -89,59 +89,6 @@ def _grid_slack(prefix: np.ndarray, hv_max: float) -> float:
     return float(np.diff(prefix).max()) * hv_max
 
 
-class _MinCountTree:
-    """Segment tree over measure-sorted slots: point insert, range min+count.
-
-    Values are (content, i, j) tuples so equal contents break ties toward
-    the lexicographically smallest endpoint pair.
-    """
-
-    __slots__ = ("size", "vals", "counts")
-    SENTINEL = (math.inf, -1, -1)
-
-    def __init__(self, n: int):
-        size = 1
-        while size < max(n, 1):
-            size <<= 1
-        self.size = size
-        self.vals = [self.SENTINEL] * (2 * size)
-        self.counts = [0] * (2 * size)
-
-    def insert(self, pos: int, val) -> None:
-        i = pos + self.size
-        self.vals[i] = val
-        self.counts[i] = 1
-        i >>= 1
-        vals, counts = self.vals, self.counts
-        while i:
-            left, right = vals[2 * i], vals[2 * i + 1]
-            vals[i] = left if left <= right else right
-            counts[i] = counts[2 * i] + counts[2 * i + 1]
-            i >>= 1
-
-    def query(self, lo: int, hi: int):
-        """Min value and count over inserted slots in [lo, hi)."""
-        best = self.SENTINEL
-        count = 0
-        lo += self.size
-        hi += self.size
-        vals, counts = self.vals, self.counts
-        while lo < hi:
-            if lo & 1:
-                if vals[lo] < best:
-                    best = vals[lo]
-                count += counts[lo]
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                if vals[hi] < best:
-                    best = vals[hi]
-                count += counts[hi]
-            lo >>= 1
-            hi >>= 1
-        return best, count
-
-
 def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOutcome:
     """Minimal boundary content over grid-aligned interval unions.
 
@@ -149,6 +96,12 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     the grid whose measure lies within volume_tolerance of target_volume.
     Ties in content go to the lexicographically smallest endpoint list;
     sets_examined counts the candidates that met the volume window.
+
+    A component may be one grid point [x_i, x_i], as IntervalUnion allows.
+    So where h(0) = 0 a two-component search can report the one-interval
+    set [a, b] as [[0.0, 0.0], [a, b]], and sets_examined counts such
+    unions.  The two-component join costs O(M log^2 M) for M candidate
+    intervals, all of it in numpy.
     """
     window = _resolve_window(space, cfg)
     xs, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
@@ -197,56 +150,68 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         consider(float(cand_c[k]), (float(xs[cand_i[k]]), float(xs[cand_j[k]])))
 
     if cfg.max_components == 2 and len(iv_i) > 0:
-        # Offline join: walk first-interval groups by right endpoint j1 in
-        # descending order, inserting second intervals with start j1 + 1, so
-        # the tree always holds exactly the disjoint continuations.
-        order_m = np.lexsort((iv_i * n + iv_j, iv_m))
-        slot = np.empty(len(order_m), dtype=np.int64)
-        slot[order_m] = np.arange(len(order_m))
-        m_sorted = iv_m[order_m]
+        # Join every first interval u = (i1, j1) at once: count the second
+        # intervals with i2 > j1 and measure in [max(v - tau - m1, 0),
+        # v + tau - m1], and find the least (content, i2, j2) among them.
+        # Slots order the intervals by measure, so u asks about one slot
+        # range [lo, hi), and ranks order them by (content, i, j).  A static
+        # merge-sort tree answers every range bottom-up: at level l, node t
+        # holds slots [t << l, (t + 1) << l) sorted by descending start, so
+        # "i2 > j1" is a prefix of the node, found by one searchsorted, and a
+        # running max of t * (total + 1) - rank over the node gives the
+        # prefix's least rank.
+        total = len(iv_i)
+        slots = np.arange(total)
+        ends = iv_i * n + iv_j  # orders intervals by (i, j)
+        slot_iv = np.lexsort((ends, iv_m))
+        m_sorted = iv_m[slot_iv]
+        by_rank = np.lexsort((ends, iv_c))
+        rank = np.empty(total, dtype=np.int64)
+        rank[by_rank] = slots
+        slot_rank = rank[slot_iv]
+        slot_after = n - iv_i[slot_iv]  # i2 > j1  <=>  n - i2 <= n - 1 - j1
 
-        by_start = np.flatnonzero(np.diff(iv_i, prepend=-1))  # first index of each i-block
-        block_bounds = list(by_start) + [len(iv_i)]
-        start_ranges = {
-            int(iv_i[block_bounds[k]]): (int(block_bounds[k]), int(block_bounds[k + 1]))
-            for k in range(len(block_bounds) - 1)
-        }
+        # Queries by descending m1, so lo, hi and the searched keys ascend.
+        first = slot_iv[::-1]
+        after = n - 1 - iv_j[first]
+        hi_m = v + tau - iv_m[first]
+        lo = np.searchsorted(m_sorted, np.maximum(v - tau - iv_m[first], 0.0), side="left")
+        hi = np.where(hi_m < 0.0, 0, np.searchsorted(m_sorted, hi_m, side="right"))
+        partners = np.zeros(total, dtype=np.int64)
+        least = np.full(total, total, dtype=np.int64)  # total: no partner
+        level = 0
+        while (live := lo < hi).any():
+            node = slots >> level  # of each slot, and of each position once sorted
+            key = node * (n + 1) + slot_after
+            order = np.argsort(key)
+            key = key[order]
+            run_max = np.maximum.accumulate(node * (total + 1) - slot_rank[order])
+            take_lo = np.flatnonzero(live & (lo & 1 == 1))
+            take_hi = np.flatnonzero(live & (hi & 1 == 1))
+            for take, t in ((take_lo, lo[take_lo]), (take_hi, hi[take_hi] - 1)):
+                p = np.searchsorted(key, t * (n + 1) + after[take], side="right")
+                found = p - (t << level)
+                partners[take] += found
+                node_least = np.where(found > 0, t * (total + 1) - run_max[p - 1], total)
+                least[take] = np.minimum(least[take], node_least)
+            # Step past the taken nodes; a spent range (lo >= hi) stays spent.
+            lo = (lo + 1) >> 1
+            hi >>= 1
+            level += 1
+        examined += int(partners.sum())
 
-        order_j = np.argsort(iv_j, kind="stable")
-        j_sorted = iv_j[order_j]
-
-        tree = _MinCountTree(len(iv_i))
-        for j1 in range(n - 2, -1, -1):
-            rng = start_ranges.get(j1 + 1)
-            if rng is not None:
-                for u in range(rng[0], rng[1]):
-                    tree.insert(int(slot[u]), (float(iv_c[u]), int(iv_i[u]), int(iv_j[u])))
-            g_lo = int(np.searchsorted(j_sorted, j1, side="left"))
-            g_hi = int(np.searchsorted(j_sorted, j1, side="right"))
-            for t in range(g_lo, g_hi):
-                u = int(order_j[t])
-                m1 = float(iv_m[u])
-                hi_m = v + tau - m1
-                if hi_m < 0.0:
-                    continue
-                lo_m = max(v - tau - m1, 0.0)
-                a = int(np.searchsorted(m_sorted, lo_m, side="left"))
-                b = int(np.searchsorted(m_sorted, hi_m, side="right"))
-                if a >= b:
-                    continue
-                val, count = tree.query(a, b)
-                examined += count
-                if val[0] < math.inf:
-                    c2, i2, j2 = val
-                    consider(
-                        float(iv_c[u]) + c2,
-                        (
-                            float(xs[iv_i[u]]),
-                            float(xs[iv_j[u]]),
-                            float(xs[i2]),
-                            float(xs[j2]),
-                        ),
-                    )
+        # Best partner per u first, then the least (content, endpoints) over u.
+        u = first[least < total]
+        w = by_rank[least[least < total]]
+        finite = iv_c[w] < math.inf  # a partner of infinite content is no candidate
+        u, w = u[finite], w[finite]
+        if len(u):
+            c = iv_c[u] + iv_c[w]
+            k = np.lexsort((ends[w], ends[u], c))[0]
+            consider(
+                float(c[k]),
+                tuple(float(xs[e]) for e in (iv_i[u[k]], iv_j[u[k]], iv_i[w[k]], iv_j[w[k]])),
+            )
 
     if best is None:
         raise InfeasibleSearchError(

@@ -267,3 +267,201 @@ def test_search_matches_naive_enumeration(family, components):
         ends = tuple(e for comp in out.best_set.components for e in comp)
         assert ends == tuple(float(xs[k]) for k in best[1])
         assert out.content == pytest.approx(best[0], rel=1e-12)
+
+
+class _MinCountTree:
+    """Segment tree over measure-sorted slots: point insert, range min+count.
+
+    Values are (content, i, j) tuples so equal contents break ties toward
+    the lexicographically smallest endpoint pair.
+    """
+
+    __slots__ = ("size", "vals", "counts")
+    SENTINEL = (math.inf, -1, -1)
+
+    def __init__(self, n: int):
+        size = 1
+        while size < max(n, 1):
+            size <<= 1
+        self.size = size
+        self.vals = [self.SENTINEL] * (2 * size)
+        self.counts = [0] * (2 * size)
+
+    def insert(self, pos: int, val) -> None:
+        i = pos + self.size
+        self.vals[i] = val
+        self.counts[i] = 1
+        i >>= 1
+        vals, counts = self.vals, self.counts
+        while i:
+            left, right = vals[2 * i], vals[2 * i + 1]
+            vals[i] = left if left <= right else right
+            counts[i] = counts[2 * i] + counts[2 * i + 1]
+            i >>= 1
+
+    def query(self, lo: int, hi: int):
+        """Min value and count over inserted slots in [lo, hi)."""
+        best = self.SENTINEL
+        count = 0
+        lo += self.size
+        hi += self.size
+        vals, counts = self.vals, self.counts
+        while lo < hi:
+            if lo & 1:
+                if vals[lo] < best:
+                    best = vals[lo]
+                count += counts[lo]
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                if vals[hi] < best:
+                    best = vals[hi]
+                count += counts[hi]
+            lo >>= 1
+            hi >>= 1
+        return best, count
+
+
+
+def reference_join(xs, prefix, left_w, right_w, v, tau):
+    """The two-component search with the join swept over j1 in Python
+    through a segment tree of (content, i, j) tuples: the implementation
+    the vectorized join replaced, kept as its oracle at grids the O(n^4)
+    enumeration cannot reach.
+
+    Returns the least (content, endpoints) or None, and sets_examined.
+    """
+    n = len(xs)
+    best = None
+    examined = 0
+
+    def consider(content, endpoints):
+        nonlocal best
+        cand = (content, endpoints)
+        if best is None or cand < best:
+            best = cand
+
+    if abs(v) <= tau:
+        consider(0.0, ())
+        examined += 1
+
+    starts = np.arange(n)
+    j_hi = np.searchsorted(prefix, prefix + v + tau, side="right") - 1
+    counts = np.maximum(j_hi - starts + 1, 0)
+    iv_i = np.repeat(starts, counts)
+    iv_j = np.arange(len(iv_i)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    iv_m = prefix[iv_j] - prefix[iv_i]
+    iv_c = left_w[iv_i] + right_w[iv_j]
+
+    singles = iv_m >= v - tau
+    examined += int(singles.sum())
+    if singles.any():
+        cand_c = iv_c[singles]
+        cand_i = iv_i[singles]
+        cand_j = iv_j[singles]
+        order = np.lexsort((cand_j, cand_i, cand_c))
+        k = order[0]
+        consider(float(cand_c[k]), (float(xs[cand_i[k]]), float(xs[cand_j[k]])))
+
+    if len(iv_i) > 0:
+        # Offline join: walk first-interval groups by right endpoint j1 in
+        # descending order, inserting second intervals with start j1 + 1, so
+        # the tree always holds exactly the disjoint continuations.
+        order_m = np.lexsort((iv_i * n + iv_j, iv_m))
+        slot = np.empty(len(order_m), dtype=np.int64)
+        slot[order_m] = np.arange(len(order_m))
+        m_sorted = iv_m[order_m]
+
+        by_start = np.flatnonzero(np.diff(iv_i, prepend=-1))  # first index of each i-block
+        block_bounds = list(by_start) + [len(iv_i)]
+        start_ranges = {
+            int(iv_i[block_bounds[k]]): (int(block_bounds[k]), int(block_bounds[k + 1]))
+            for k in range(len(block_bounds) - 1)
+        }
+
+        order_j = np.argsort(iv_j, kind="stable")
+        j_sorted = iv_j[order_j]
+
+        tree = _MinCountTree(len(iv_i))
+        for j1 in range(n - 2, -1, -1):
+            rng = start_ranges.get(j1 + 1)
+            if rng is not None:
+                for u in range(rng[0], rng[1]):
+                    tree.insert(int(slot[u]), (float(iv_c[u]), int(iv_i[u]), int(iv_j[u])))
+            g_lo = int(np.searchsorted(j_sorted, j1, side="left"))
+            g_hi = int(np.searchsorted(j_sorted, j1, side="right"))
+            for t in range(g_lo, g_hi):
+                u = int(order_j[t])
+                m1 = float(iv_m[u])
+                hi_m = v + tau - m1
+                if hi_m < 0.0:
+                    continue
+                lo_m = max(v - tau - m1, 0.0)
+                a = int(np.searchsorted(m_sorted, lo_m, side="left"))
+                b = int(np.searchsorted(m_sorted, hi_m, side="right"))
+                if a >= b:
+                    continue
+                val, count = tree.query(a, b)
+                examined += count
+                if val[0] < math.inf:
+                    c2, i2, j2 = val
+                    consider(
+                        float(iv_c[u]) + c2,
+                        (
+                            float(xs[iv_i[u]]),
+                            float(xs[iv_j[u]]),
+                            float(xs[i2]),
+                            float(xs[j2]),
+                        ),
+                    )
+
+
+    return best, examined
+
+
+def _assert_join_matches(space, window, n, v, tau):
+    xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
+    best, examined = reference_join(xs, prefix, left_w, right_w, v, tau)
+    cfg = SearchConfig(target_volume=v, volume_tolerance=tau, grid_points=n,
+                       max_components=2, window=window)
+    if best is None:
+        with pytest.raises(InfeasibleSearchError):
+            brute_force_profile(space, cfg)
+        return None
+    out = brute_force_profile(space, cfg)
+    assert out.sets_examined == examined
+    assert tuple(e for comp in out.best_set.components for e in comp) == best[1]
+    assert out.content == best[0]
+    return out
+
+
+@pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
+def test_join_matches_reference_sweep(family):
+    rng = np.random.default_rng([7, len(family)])
+    for n in (2, 3):
+        # The volume of one random cell: single cells, and unions of a cell
+        # with a one-point component, meet the window.
+        space, window = _random_space(family, rng)
+        prefix = _grid_and_measures(space, window, n)[1]
+        k = int(rng.integers(1, n))
+        v = float(prefix[k] - prefix[k - 1])
+        _assert_join_matches(space, window, n, v, 0.25 * float(np.diff(prefix).min()))
+    for n in rng.integers(40, 129, size=3):
+        space, window = _random_space(family, rng)
+        prefix = _grid_and_measures(space, window, int(n))[1]
+        gap = float(np.diff(prefix).max())
+        v = rng.uniform(0.05, 0.7) * prefix[-1]
+        _assert_join_matches(space, window, int(n), v, rng.uniform(0.3, 3.0) * gap)
+    # A volume within the tolerance of 0 also counts the empty set.
+    _assert_join_matches(space, window, int(n), 0.4 * gap, gap)
+
+
+def test_join_matches_reference_sweep_on_tied_partners():
+    # h = x^2 on [0, 1], then 1 on [1, 2]: the one-point component [0, 0]
+    # costs h(0) = 0, and every second interval [x, 2] on the plateau costs
+    # 1, so the tie order of (content, i, j) alone picks the partner.  The
+    # union [0, 0] + [x, 2] beats the single [x, 2] of the same content on
+    # its endpoint list (zero-length components are allowed by design).
+    h = PiecewiseMonomialDensity((1.0,), ((1.0, 2.0), (1.0, 0.0)))
+    out = _assert_join_matches(WeightedInterval(2.0, h), 2.0, 81, 0.6, 0.1)
+    assert out.best_set.components[0] == (0.0, 0.0)
