@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -19,7 +18,6 @@ from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import DEFAULT_TOLERANCE, Tolerance
 from .profile import (
     avr_lower_bound,
     cd_lower_bound,
@@ -39,16 +37,8 @@ from .space import (
 # and OverflowError come from malformed numbers in JSON input and sweeps.
 _USAGE_ERRORS = (ValueError, TypeError, OverflowError, InfeasibleSearchError)
 
-
-def _tolerance_from_env() -> Tolerance:
-    raw = os.environ.get("MCP_ISO_TOL")
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        raise DomainError(f"MCP_ISO_TOL must be a number, got {raw!r}")
-    return Tolerance(abs_tol=value, rel_tol=value)
+# The extremal set meets the bound exactly; its computed gap is rounding only.
+_SHARP_GAP_TOL = 1e-10
 
 
 def _parse_sweep(text: str, log: bool) -> list[float]:
@@ -81,11 +71,8 @@ def _load_json(path: str) -> dict:
 
 
 def _fmt(value, precision: int) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.{precision}g}"
-    return str(value)
+    # Non-finite floats come out as inf, -inf or nan.
+    return f"{value:.{precision}g}" if isinstance(value, float) else str(value)
 
 
 def _emit(headers: list[str], rows: list[list], fmt: str, precision: int) -> None:
@@ -94,10 +81,9 @@ def _emit(headers: list[str], rows: list[list], fmt: str, precision: int) -> Non
         for row in rows:
             rec = {}
             for key, value in zip(headers, row):
-                if isinstance(value, float) and math.isfinite(value):
-                    value = float(f"{value:.{precision}g}")
-                elif isinstance(value, float):
-                    value = "inf" if value > 0 else "-inf"
+                if isinstance(value, float):
+                    text = _fmt(value, precision)
+                    value = float(text) if math.isfinite(value) else text
                 rec[key] = value
             records.append(rec)
         sys.stdout.write(json.dumps(records, indent=2, sort_keys=False) + "\n")
@@ -112,31 +98,31 @@ def _set_to_text(best_set) -> str:
     return json.dumps([[s, t] for s, t in best_set.components])
 
 
-def _cmd_profile(args, tol):
+def _cmd_profile(args):
     headers = ["N", "D", "v", "a", "f_at_a", "profile"]
     rows = []
     for v in _parse_sweep(args.v, args.log):
-        res = profile_mcp(args.N, args.D, v, tol)
+        res = profile_mcp(args.N, args.D, v)
         rows.append([res.N, res.D, res.v, res.a, res.f_at_a, res.profile])
     return headers, rows, True
 
 
-def _cmd_expansion(args, tol):
+def _cmd_expansion(args):
     if not (0.0 < args.v_min < args.v_max):
         raise DomainError("need 0 < --v-min < --v-max")
     lead = expansion_leading_coefficient(args.N)
     headers = ["v", "profile", "ratio", "leading", "rel_deviation"]
     rows = []
     for v in _parse_sweep(f"{args.v_max}:{args.v_min}:{args.points}", log=True):
-        prof = profile_mcp(args.N, 1.0, v, tol).profile
+        prof = profile_mcp(args.N, 1.0, v).profile
         ratio = prof / v ** ((args.N - 1.0) / args.N)
         rows.append([v, prof, ratio, lead, abs(ratio - lead) / lead])
     return headers, rows, True
 
 
-def _cmd_validate_density(args, tol):
+def _cmd_validate_density(args):
     space = space_from_dict(_load_json(args.space))
-    verdict = check_mcp_density(space.h, space.D, args.N, tol, args.grid_points)
+    verdict = check_mcp_density(space.h, space.D, args.N, args.grid_points)
     headers = ["status", "samples_used", "x0", "x1", "side", "lhs", "rhs"]
     w = verdict.witness
     row = [verdict.status, verdict.samples_used]
@@ -144,22 +130,22 @@ def _cmd_validate_density(args, tol):
     return headers, [row], verdict.passed
 
 
-def _cmd_min_dimension(args, tol):
+def _cmd_min_dimension(args):
     space = space_from_dict(_load_json(args.space))
-    result = minimal_mcp_dimension(space.h, space.D, args.n_lo, args.n_hi, tol)
+    result = minimal_mcp_dimension(space.h, space.D, args.n_lo, args.n_hi)
     headers = ["minimal_dimension"]
     if result is None:
         return headers, [["none"]], False
     return headers, [[result]], True
 
 
-def _cmd_avr(args, tol):
+def _cmd_avr(args):
     space = space_from_dict(_load_json(args.space))
     value, certified = avr(space, args.N, args.r_max)
     return ["avr", "certified"], [[value, certified]], True
 
 
-def _cmd_bounds(args, tol):
+def _cmd_bounds(args):
     mcp = avr_lower_bound(args.N, args.avr, args.mass)
     cd = cd_lower_bound(args.N, args.avr, args.mass)
     ratio = cd / mcp if mcp > 0 else math.nan
@@ -167,7 +153,7 @@ def _cmd_bounds(args, tol):
     return headers, [[args.N, args.avr, args.mass, mcp, cd, ratio]], True
 
 
-def _cmd_sharp(args, tol):
+def _cmd_sharp(args):
     space, extremal = sharp_space(args.avr, args.mass, args.N)
     gap = verify_sharpness(args.avr, args.mass, args.N)
     content = minkowski_content(space, extremal)
@@ -186,10 +172,10 @@ def _cmd_sharp(args, tol):
         gap,
         json.dumps(space.h.to_dict()),
     ]
-    return headers, [row], abs(gap) <= max(tol.abs_tol, 1e-10)
+    return headers, [row], abs(gap) <= _SHARP_GAP_TOL
 
 
-def _cmd_search(args, tol):
+def _cmd_search(args):
     space = space_from_dict(_load_json(args.space))
     config = _load_json(args.config)
     try:
@@ -226,7 +212,7 @@ def _cmd_search(args, tol):
     return headers, rows, report.passed
 
 
-def _cmd_localize(args, tol):
+def _cmd_localize(args):
     model = loc.model_from_dict(_load_json(args.model))
     headers = [
         "R", "m_plus", "needle_integral", "scaled_profile_bound", "avr_bound",
@@ -235,9 +221,9 @@ def _cmd_localize(args, tol):
     rows = []
     all_ordered = True
     for big_r in _parse_sweep(args.R, args.log):
-        report = loc.dimension_reduction_chain(model, args.r, big_r, tol)
+        report = loc.dimension_reduction_chain(model, args.r, big_r)
         residual = loc.verify_disintegration(model, args.r, big_r)
-        ordered = report.ordered(tol)
+        ordered = report.ordered()
         all_ordered = all_ordered and ordered
         rows.append(
             [
@@ -324,8 +310,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: --precision must lie in [1, 17]", file=sys.stderr)
         return 1
     try:
-        tol = _tolerance_from_env()
-        headers, rows, passed = args.func(args, tol)
+        headers, rows, passed = args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

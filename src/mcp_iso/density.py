@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_TOLERANCE, Tolerance, require_dimension, unit_ball_volume
+from .numerics import require_dimension, unit_ball_volume
 
 __all__ = [
     "Density",
@@ -45,6 +45,10 @@ _CONTINUITY_RTOL = 1e-12
 # h1/w1 vs h0/w0 from its cross-multiplied form h1*w0 vs h0*w1, as a share
 # of the compared values.
 _QUOTIENT_ROUNDING = 16 * np.finfo(float).eps
+# Relative excess over a ratio bound that counts as rounding, not a violation.
+_RATIO_RTOL = 1e-12
+# Width in N at which minimal_mcp_dimension stops bisecting.
+_BISECT_WIDTH = 1e-12
 
 
 class Density:
@@ -487,55 +491,35 @@ def _sampled_witness(
     return None
 
 
-def _pair_witness(h: Density, x0: float, x1: float, D: float, N: float,
-                  rel_tol: float) -> Optional[Witness]:
+def _pair_witness(h: Density, x0: float, x1: float, D: float, N: float) -> Optional[Witness]:
     xs = np.array([x0, x1])
-    return _sampled_witness(xs, h(xs), D, N, rel_tol)
+    return _sampled_witness(xs, h(xs), D, N, _RATIO_RTOL)
 
 
-def _check_impl(
-    h: Density,
-    D: float,
-    N: float,
-    tol: Tolerance,
-    grid_points: int,
-    allow_uncertified_tail: bool,
-) -> Verdict:
+def _check_impl(h: Density, D: float, N: float, grid_points: int) -> Verdict:
     if isinstance(h, (ConstantDensity, MonomialDensity, SharpDensity)):
         # Power against power: the violation factor grows with x1/x0, so one
-        # pair decides, at ratio 2 (below which rel_tol calls it rounding
+        # pair decides, at ratio 2 (below which _RATIO_RTOL calls it rounding
         # dust) or anchored at the sharp weight's switch point.
         x0, x1 = (1.0, 2.0) if math.isinf(D) else (D / 4.0, D / 2.0)
         if isinstance(h, SharpDensity) and D > h.x_star:
             x0, x1 = h.x_star, (2.0 * h.x_star if math.isinf(D) else D)
-        witness = _pair_witness(h, x0, x1, D, N, tol.rel_tol)
+        witness = _pair_witness(h, x0, x1, D, N)
         return Verdict(PASS_EXACT) if witness is None else Verdict(FAIL, witness)
 
     xs = _sample_grid(h, D, grid_points)
-    witness = _sampled_witness(xs, h(xs), D, N, tol.rel_tol)
-    if witness is None and math.isinf(D):
-        if isinstance(h, PiecewiseMonomialDensity):
-            # Pairs inside the last piece reduce to its exponent; pairs that
-            # straddle the last breakpoint are covered by the sampled window.
-            b = h.break_values[-1] if h.break_values else 1.0
-            witness = _pair_witness(h, b, 2.0 * b, D, N, tol.rel_tol)
-        elif not allow_uncertified_tail:
-            raise DomainError(
-                "a tabulated density has no defined tail; it cannot certify "
-                f"behaviour on [0, inf) beyond its grid end {h.support_end}"
-            )
+    witness = _sampled_witness(xs, h(xs), D, N, _RATIO_RTOL)
+    if witness is None and math.isinf(D) and isinstance(h, PiecewiseMonomialDensity):
+        # Pairs inside the last piece reduce to its exponent; pairs that
+        # straddle the last breakpoint are covered by the sampled window.
+        b = h.break_values[-1] if h.break_values else 1.0
+        witness = _pair_witness(h, b, 2.0 * b, D, N)
     if witness is not None:
         return Verdict(FAIL, witness, samples_used=len(xs))
     return Verdict(PASS_SAMPLED, samples_used=len(xs))
 
 
-def check_mcp_density(
-    h: Density,
-    D: float,
-    N: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    grid_points: int = 512,
-) -> Verdict:
+def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) -> Verdict:
     """Check the dimension-N ratio bounds for h on [0, D] (D may be inf).
 
     Over all pairs the bounds say that h / x^(N-1) is non-increasing and
@@ -554,7 +538,14 @@ def check_mcp_density(
     N = require_dimension(N)
     if grid_points < 2:
         raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-    return _check_impl(h, D, N, tol, grid_points, allow_uncertified_tail=False)
+    verdict = _check_impl(h, D, N, grid_points)
+    if (verdict.status == PASS_SAMPLED and math.isinf(D)
+            and not isinstance(h, PiecewiseMonomialDensity)):
+        raise DomainError(
+            "a tabulated density has no defined tail; it cannot certify "
+            f"behaviour on [0, inf) beyond its grid end {h.support_end}"
+        )
+    return verdict
 
 
 def minimal_mcp_dimension(
@@ -562,7 +553,6 @@ def minimal_mcp_dimension(
     D: float,
     n_lo: float,
     n_hi: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
     grid_points: int = 512,
 ) -> Optional[float]:
     """Smallest dimension parameter in [n_lo, n_hi] for which h passes.
@@ -574,7 +564,7 @@ def minimal_mcp_dimension(
 
     Each step costs one O(n) scan.  The bisection stays rather than a
     closed-form largest secant slope of (log x, log h): that formula ignores
-    the rel_tol term of the check, so it would be a second definition of
+    the _RATIO_RTOL term of the check, so it would be a second definition of
     the passing set and drift from it by up to ~1e-9.
     """
     D = _validate_domain(D)
@@ -584,15 +574,14 @@ def minimal_mcp_dimension(
         raise DomainError(f"need n_lo < n_hi, got [{n_lo}, {n_hi}]")
 
     def passes(n: float) -> bool:
-        verdict = _check_impl(h, D, n, tol, grid_points, allow_uncertified_tail=True)
-        return verdict.status != FAIL
+        return _check_impl(h, D, n, grid_points).status != FAIL
 
     if not passes(n_hi):
         return None
     if passes(n_lo):
         return float(n_lo)
     lo, hi = float(n_lo), float(n_hi)
-    while hi - lo > tol.abs_tol:
+    while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             hi = mid

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .density import Density, check_mcp_density, density_from_dict
 from .errors import DomainError, PreconditionError
-from .numerics import DEFAULT_TOLERANCE, Tolerance, require_dimension
+from .numerics import require_dimension
 from .profile import avr_lower_bound, profile_mcp
 from .space import IntervalUnion, WeightedInterval, avr, minkowski_content
 
@@ -32,6 +32,9 @@ __all__ = [
     "dimension_reduction_chain",
     "model_from_dict",
 ]
+
+# Rounding slack allowed in each inequality of the chain.
+_CHAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,20 +145,17 @@ class ChainReport:
     avr_value: float
     avr_certified: bool
 
-    def ordered(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    def ordered(self) -> bool:
         """Chain inequalities hold: m_plus >= needle_integral >=
         scaled_profile_bound, and m_plus dominates the limit bound."""
-        eps = tol.abs_tol
         return (
-            self.m_plus >= self.needle_integral - eps
-            and self.needle_integral >= self.scaled_profile_bound - eps
-            and self.m_plus >= self.avr_bound - eps
+            self.m_plus >= self.needle_integral - _CHAIN_SLACK
+            and self.needle_integral >= self.scaled_profile_bound - _CHAIN_SLACK
+            and self.m_plus >= self.avr_bound - _CHAIN_SLACK
         )
 
 
-def dimension_reduction_chain(
-    model: RadialModel, r: float, R: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ChainReport:
+def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainReport:
     """Evaluate the boundary-content chain for E = B_r.
 
     m_plus:               theta * w(r), the exact boundary term of the ball;
@@ -175,7 +175,7 @@ def dimension_reduction_chain(
     needle_integral = quotient_mass * ray_content
 
     fraction = m_e / m_ball
-    scaled = m_ball * profile_mcp(model.N, R + 2.0 * r, fraction, tol).profile
+    scaled = m_ball * profile_mcp(model.N, R + 2.0 * r, fraction).profile
 
     avr_value, certified = avr(model.one_dimensional_space(), model.N)
     bound = avr_lower_bound(model.N, avr_value, m_e) if math.isfinite(avr_value) else math.inf

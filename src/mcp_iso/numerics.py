@@ -6,35 +6,18 @@ Everything here is pure and deterministic; no global mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketError, DomainError, PreconditionError
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "gamma",
     "unit_ball_volume",
     "invert_monotone",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy targets shared by the numerical routines (strictly positive)."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# Bracket width where inversion stops, and the rounding slack of its sampled checks.
+_INVERT_TOL = 1e-12
 
 
 def require_dimension(N: float) -> float:
@@ -66,14 +49,13 @@ def invert_monotone(
     target: float,
     lo: float,
     hi: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
     """Solve g(x) = target for strictly increasing g on [lo, hi].
 
     Bracketing with secant acceleration; bisection is the fallback so the
     bracket always shrinks.  Runs until the bracket width drops below
-    abs_tol (or the residual vanishes exactly), so the returned abscissa is
-    accurate to abs_tol.  Stops after at most 80 steps.  Deterministic.
+    1e-12 (or the residual vanishes exactly), so the returned abscissa is
+    accurate to 1e-12.  Stops after at most 80 steps.  Deterministic.
     """
     if not (lo < hi):
         raise DomainError(f"invert_monotone requires lo < hi, got [{lo}, {hi}]")
@@ -82,11 +64,11 @@ def invert_monotone(
     samples = [lo + (hi - lo) * k / 7.0 for k in range(8)]
     values = [g(x) for x in samples]
     for u, v in zip(values, values[1:]):
-        if v < u - tol.abs_tol:
+        if v < u - _INVERT_TOL:
             raise PreconditionError("function is not increasing on the sampled grid")
 
     glo, ghi = values[0], values[-1]
-    if target < glo - tol.abs_tol or target > ghi + tol.abs_tol:
+    if target < glo - _INVERT_TOL or target > ghi + _INVERT_TOL:
         raise BracketError(
             f"target {target} outside bracket [g(lo), g(hi)] = [{glo}, {ghi}]"
         )
@@ -98,7 +80,7 @@ def invert_monotone(
     flo = glo - target
     fhi = ghi - target
     for _ in range(80):
-        if hi - lo <= tol.abs_tol:
+        if hi - lo <= _INVERT_TOL:
             break
         # Secant proposal from the bracket endpoints, clamped to the interior.
         if fhi != flo:

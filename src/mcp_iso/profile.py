@@ -19,13 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    invert_monotone,
-    require_dimension,
-    unit_ball_volume,
-)
+from .numerics import invert_monotone, require_dimension, unit_ball_volume
 
 __all__ = [
     "ProfileResult",
@@ -78,17 +72,13 @@ def eval_v(N: float, D: float, a: float) -> float:
     return _v_unit(N, a / D)
 
 
-def invert_v(
-    N: float, D: float, v: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def invert_v(N: float, D: float, v: float) -> float:
     """The parameter a with eval_v(N, D, a) = v, for v in (0, 1)."""
     N = require_dimension(N)
     D = _validate_diameter(D)
     if not (0.0 < v < 1.0):
         raise DomainError(f"v must lie in (0, 1), got {v}")
-    a_unit = invert_monotone(
-        lambda a: _v_unit(N, a), v, _EDGE_CLIP, 1.0 - _EDGE_CLIP, tol
-    )
+    a_unit = invert_monotone(lambda a: _v_unit(N, a), v, _EDGE_CLIP, 1.0 - _EDGE_CLIP)
     return D * a_unit
 
 
@@ -104,9 +94,7 @@ class ProfileResult:
     profile: float
 
 
-def profile_mcp(
-    N: float, D: float, v: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ProfileResult:
+def profile_mcp(N: float, D: float, v: float) -> ProfileResult:
     """Model profile value at volume fraction v in [0, 1].
 
     Both one-sided limits of f(a(v)) vanish at the endpoints, so the closed
@@ -120,7 +108,7 @@ def profile_mcp(
         return ProfileResult(N, D, v, 0.0, 0.0, 0.0)
     if v == 1.0:
         return ProfileResult(N, D, v, D, 0.0, 0.0)
-    a = invert_v(N, D, v, tol)
+    a = invert_v(N, D, v)
     f_at_a = eval_f(N, D, a)
     return ProfileResult(N, D, v, a, f_at_a, f_at_a)
 

@@ -85,10 +85,6 @@ def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int)
     return xs, prefix, left_w, right_w
 
 
-def _grid_slack(prefix: np.ndarray, hv_max: float) -> float:
-    return float(np.diff(prefix).max()) * hv_max
-
-
 def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOutcome:
     """Minimal boundary content over grid-aligned interval unions.
 
@@ -268,9 +264,8 @@ def certify_bound(
         else:
             window = _resolve_window(space, cfg)
         xs, prefix, _, _ = _grid_and_measures(space, window, cfg.grid_points)
-        hv_max = float(space.h(xs).max())
-        slack = _grid_slack(prefix, hv_max)
         gap = float(np.diff(prefix).max())
+        slack = gap * float(space.h(xs).max())
         run_cfg = replace(
             cfg,
             target_volume=v,

@@ -217,17 +217,15 @@ def test_precision_flag(capsys):
     assert code == 1
 
 
-def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MCP_ISO_TOL", "1e-9")
-    code, out, _ = run(capsys, "profile", "--N", "2", "--D", "1", "--v", "0.5")
+def test_non_finite_values_spelled_alike_in_csv_and_json(capsys):
+    # Zero avr makes both bounds 0, so their ratio is NaN.
+    args = ("bounds", "--N", "2", "--avr", "0", "--mass", "1")
+    code, out, _ = run(capsys, *args)
     assert code == 0
-    assert float(out.strip().splitlines()[1].split(",")[5]) == pytest.approx(
-        2.0 / 3.0, rel=1e-6
-    )
-    monkeypatch.setenv("MCP_ISO_TOL", "not-a-number")
-    code, _, err = run(capsys, "profile", "--N", "2", "--D", "1", "--v", "0.5")
-    assert code == 1
-    assert "MCP_ISO_TOL" in err
+    assert out.strip().splitlines()[1].split(",")[5] == "nan"
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["cd_over_mcp"] == "nan"
 
 
 def test_json_output_round_trips_schema(capsys, tmp_path):

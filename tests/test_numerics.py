@@ -8,7 +8,6 @@ from mcp_iso import (
     BracketError,
     DomainError,
     PreconditionError,
-    Tolerance,
     gamma,
     invert_monotone,
     unit_ball_volume,
@@ -67,10 +66,3 @@ def test_invert_monotone_bracket_and_monotonicity_errors():
         invert_monotone(lambda x: x, 2.0, 0.0, 1.0)
     with pytest.raises(PreconditionError):
         invert_monotone(lambda x: -x, 0.5, 0.0, 1.0)
-
-
-def test_tolerance_validation():
-    with pytest.raises(DomainError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        Tolerance(rel_tol=-1.0)
