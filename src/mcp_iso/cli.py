@@ -30,7 +30,6 @@ from .space import (
     minkowski_content,
     sharp_space,
     space_from_dict,
-    verify_sharpness,
 )
 
 # DomainError, PreconditionError and BracketError are ValueErrors; TypeError
@@ -50,7 +49,9 @@ def _parse_sweep(text: str, log: bool) -> list[float]:
         raise DomainError(f"sweep must look like a:b:n, got {text!r}")
     a, b = float(parts[0]), float(parts[1])
     n = int(parts[2])
-    if n < 2:
+    if n < 1:
+        raise DomainError(f"a sweep needs at least one point, got {text!r}")
+    if n == 1:
         return [a]
     if log:
         if a <= 0 or b <= 0:
@@ -68,6 +69,13 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}")
+
+
+def _int_field(config: dict, key: str, default: int) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"search config field '{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _fmt(value, precision: int) -> str:
@@ -155,9 +163,9 @@ def _cmd_bounds(args):
 
 def _cmd_sharp(args):
     space, extremal = sharp_space(args.avr, args.mass, args.N)
-    gap = verify_sharpness(args.avr, args.mass, args.N)
     content = minkowski_content(space, extremal)
     bound = avr_lower_bound(args.N, args.avr, args.mass)
+    gap = content - bound
     headers = [
         "avr", "mass", "N", "x_star", "set_measure", "content", "bound", "gap", "density",
     ]
@@ -190,7 +198,7 @@ def _cmd_search(args):
             raise DomainError("space has no certified avr; set 'avr' in the config")
         avr_value = value
     raw_volumes = config.get("volumes")
-    if isinstance(raw_volumes, dict):
+    if isinstance(raw_volumes, dict) and "sweep" in raw_volumes:
         volumes = _parse_sweep(raw_volumes["sweep"], bool(raw_volumes.get("log", False)))
     elif isinstance(raw_volumes, list):
         volumes = [float(v) for v in raw_volumes]
@@ -199,8 +207,8 @@ def _cmd_search(args):
     cfg = search_mod.SearchConfig(
         target_volume=0.0,
         volume_tolerance=float(config.get("volume_tolerance", 1e-9)),
-        grid_points=int(config.get("grid_points", 512)),
-        max_components=int(config.get("max_components", 2)),
+        grid_points=_int_field(config, "grid_points", 512),
+        max_components=_int_field(config, "max_components", 2),
         window=float(config["window"]) if "window" in config else None,
     )
     report = search_mod.certify_bound(space, N, avr_value, volumes, cfg)

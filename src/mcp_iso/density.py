@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -185,6 +185,8 @@ class PiecewiseMonomialDensity(Density):
             raise DomainError("breakpoints must be strictly increasing")
         for c, p in pcs:
             _require_positive("piece coefficient", c)
+            if not math.isfinite(p):
+                raise DomainError(f"piece exponent must be finite, got {p}")
         if pcs[0][1] < 0.0:
             raise DomainError("first piece exponent must be >= 0 (continuity at 0)")
         for b, (c0, p0), (c1, p1) in zip(bps, pcs, pcs[1:]):
@@ -304,12 +306,12 @@ class TabulatedDensity(Density):
         object.__setattr__(self, "values", v)
         if len(g) < 2 or len(g) != len(v):
             raise DomainError("tabulated density needs matching grid/values, length >= 2")
-        if any(b <= a for a, b in zip(g, g[1:])):
+        if not all(a < b for a, b in zip(g, g[1:])):
             raise DomainError("tabulated grid must be strictly increasing")
-        if g[0] < 0.0:
-            raise DomainError("tabulated grid must start at x >= 0")
-        if any(x < 0.0 for x in v):
-            raise DomainError("tabulated values must be non-negative")
+        if not (g[0] >= 0.0 and math.isfinite(g[-1])):
+            raise DomainError("tabulated grid must start at x >= 0 and end at a finite x")
+        if not all(0.0 <= x < math.inf for x in v):
+            raise DomainError("tabulated values must be non-negative and finite")
         if any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:])):
             raise DomainError("tabulated density vanishes on a whole segment")
         # Array copies for np.interp, kept out of the dataclass fields.
@@ -491,12 +493,10 @@ def _sampled_witness(
     return None
 
 
-def _pair_witness(h: Density, x0: float, x1: float, D: float, N: float) -> Optional[Witness]:
-    xs = np.array([x0, x1])
-    return _sampled_witness(xs, h(xs), D, N, _RATIO_RTOL)
-
-
-def _check_impl(h: Density, D: float, N: float, grid_points: int) -> Verdict:
+def _ratio_check(h: Density, D: float, grid_points: int) -> Callable[[float], Verdict]:
+    """Sample h once; the result maps N to the Verdict of check_mcp_density."""
+    if grid_points < 2:
+        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
     if isinstance(h, (ConstantDensity, MonomialDensity, SharpDensity)):
         # Power against power: the violation factor grows with x1/x0, so one
         # pair decides, at ratio 2 (below which _RATIO_RTOL calls it rounding
@@ -504,19 +504,25 @@ def _check_impl(h: Density, D: float, N: float, grid_points: int) -> Verdict:
         x0, x1 = (1.0, 2.0) if math.isinf(D) else (D / 4.0, D / 2.0)
         if isinstance(h, SharpDensity) and D > h.x_star:
             x0, x1 = h.x_star, (2.0 * h.x_star if math.isinf(D) else D)
-        witness = _pair_witness(h, x0, x1, D, N)
-        return Verdict(PASS_EXACT) if witness is None else Verdict(FAIL, witness)
+        sets, used, status = [np.array([x0, x1])], 0, PASS_EXACT
+    else:
+        xs = _sample_grid(h, D, grid_points)
+        sets, used, status = [xs], len(xs), PASS_SAMPLED
+        if math.isinf(D) and isinstance(h, PiecewiseMonomialDensity):
+            # Pairs inside the last piece reduce to its exponent; pairs that
+            # straddle the last breakpoint are covered by the sampled window.
+            b = h.break_values[-1] if h.break_values else 1.0
+            sets.append(np.array([b, 2.0 * b]))
+    samples = [(xs, h(xs)) for xs in sets]
 
-    xs = _sample_grid(h, D, grid_points)
-    witness = _sampled_witness(xs, h(xs), D, N, _RATIO_RTOL)
-    if witness is None and math.isinf(D) and isinstance(h, PiecewiseMonomialDensity):
-        # Pairs inside the last piece reduce to its exponent; pairs that
-        # straddle the last breakpoint are covered by the sampled window.
-        b = h.break_values[-1] if h.break_values else 1.0
-        witness = _pair_witness(h, b, 2.0 * b, D, N)
-    if witness is not None:
-        return Verdict(FAIL, witness, samples_used=len(xs))
-    return Verdict(PASS_SAMPLED, samples_used=len(xs))
+    def verdict(N: float) -> Verdict:
+        for xs, hv in samples:
+            witness = _sampled_witness(xs, hv, D, N, _RATIO_RTOL)
+            if witness is not None:
+                return Verdict(FAIL, witness, samples_used=used)
+        return Verdict(status, samples_used=used)
+
+    return verdict
 
 
 def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) -> Verdict:
@@ -536,9 +542,7 @@ def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) ->
     """
     D = _validate_domain(D)
     N = require_dimension(N)
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-    verdict = _check_impl(h, D, N, grid_points)
+    verdict = _ratio_check(h, D, grid_points)(N)
     if (verdict.status == PASS_SAMPLED and math.isinf(D)
             and not isinstance(h, PiecewiseMonomialDensity)):
         raise DomainError(
@@ -562,28 +566,25 @@ def minimal_mcp_dimension(
     fails.  For a tabulated density on the half line the result certifies
     the sampled grid only (the tail stays unverified).
 
-    Each step costs one O(n) scan.  The bisection stays rather than a
-    closed-form largest secant slope of (log x, log h): that formula ignores
-    the _RATIO_RTOL term of the check, so it would be a second definition of
-    the passing set and drift from it by up to ~1e-9.
+    h is sampled once; each step costs one O(n) scan.  The bisection stays
+    rather than a closed-form largest secant slope of (log x, log h): that
+    formula ignores the _RATIO_RTOL term of the check, so it would be a second
+    definition of the passing set and drift from it by up to ~1e-9.
     """
     D = _validate_domain(D)
     if not n_lo > 1.0:
         raise DomainError(f"n_lo must exceed 1, got {n_lo}")
-    if not n_hi > n_lo:
-        raise DomainError(f"need n_lo < n_hi, got [{n_lo}, {n_hi}]")
-
-    def passes(n: float) -> bool:
-        return _check_impl(h, D, n, grid_points).status != FAIL
-
-    if not passes(n_hi):
+    if not n_lo < n_hi < math.inf:
+        raise DomainError(f"need n_lo < n_hi < inf, got [{n_lo}, {n_hi}]")
+    check = _ratio_check(h, D, grid_points)
+    if not check(n_hi).passed:
         return None
-    if passes(n_lo):
+    if check(n_lo).passed:
         return float(n_lo)
     lo, hi = float(n_lo), float(n_hi)
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if passes(mid):
+        if check(mid).passed:
             hi = mid
         else:
             lo = mid

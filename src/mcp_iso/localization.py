@@ -103,15 +103,6 @@ class TruncatedNeedle:
         return WeightedInterval(self.T, self.normalized_density)
 
 
-def _validate_radii(model: RadialModel, r: float, R: float) -> None:
-    if not (0.0 < r and math.isfinite(R) and R > 0.0):
-        raise DomainError(f"need finite positive radii, got r={r}, R={R}")
-    if r > R / 4.0:
-        raise PreconditionError(f"decomposition requires r <= R/4, got r={r}, R={R}")
-    if R > model.ray_length:
-        raise PreconditionError(f"R={R} exceeds the ray length {model.ray_length}")
-
-
 def disintegrate_ball(
     model: RadialModel, r: float, R: float
 ) -> tuple[TruncatedNeedle, float]:
@@ -121,7 +112,12 @@ def disintegrate_ball(
     and the quotient measure has total mass m(B_R).  The per-ray mass of E
     is then m(E) / m(B_R) by construction.
     """
-    _validate_radii(model, r, R)
+    if not (0.0 < r and math.isfinite(R) and R > 0.0):
+        raise DomainError(f"need finite positive radii, got r={r}, R={R}")
+    if r > R / 4.0:
+        raise PreconditionError(f"decomposition requires r <= R/4, got r={r}, R={R}")
+    if R > model.ray_length:
+        raise PreconditionError(f"R={R} exceeds the ray length {model.ray_length}")
     ray_mass = model.radial_weight.integral(0.0, R)
     needle = TruncatedNeedle(R, model.radial_weight.scaled(1.0 / ray_mass))
     return needle, model.total_angle * ray_mass
@@ -165,14 +161,12 @@ def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainRe
     avr_bound:            the volume-growth comparison bound, the R -> inf
                           limit of the scaled profile term.
     """
-    _validate_radii(model, r, R)
-    needle, quotient_mass = disintegrate_ball(model, r, R)
+    needle, m_ball = disintegrate_ball(model, r, R)
     m_e = model.ball_mass(r)
-    m_ball = model.ball_mass(R)
     m_plus = model.total_angle * model.radial_weight(r)
 
     ray_content = minkowski_content(needle.as_space(), IntervalUnion.of([(0.0, r)]))
-    needle_integral = quotient_mass * ray_content
+    needle_integral = m_ball * ray_content
 
     fraction = m_e / m_ball
     scaled = m_ball * profile_mcp(model.N, R + 2.0 * r, fraction).profile

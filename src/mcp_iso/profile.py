@@ -130,7 +130,7 @@ def expansion_leading_coefficient(N: float) -> float:
 def avr_lower_bound(N: float, avr: float, mass: float) -> float:
     """Boundary lower bound (N omega_N avr)^(1/N) * mass^((N-1)/N)."""
     N = require_dimension(N)
-    if avr < 0.0 or mass < 0.0:
+    if not (avr >= 0.0 and mass >= 0.0):
         raise DomainError("avr and mass must be non-negative")
     if avr == 0.0 or mass == 0.0:
         return 0.0
@@ -143,7 +143,7 @@ def cd_lower_bound(N: float, avr: float, mass: float) -> float:
     Always >= avr_lower_bound, with ratio N^((N-1)/N) when avr, mass > 0.
     """
     N = require_dimension(N)
-    if avr < 0.0 or mass < 0.0:
+    if not (avr >= 0.0 and mass >= 0.0):
         raise DomainError("avr and mass must be non-negative")
     if avr == 0.0 or mass == 0.0:
         return 0.0

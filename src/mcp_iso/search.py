@@ -43,9 +43,9 @@ class SearchConfig:
             raise DomainError(f"grid_points must be >= 2, got {self.grid_points}")
         if self.max_components not in (1, 2):
             raise DomainError(f"max_components must be 1 or 2, got {self.max_components}")
-        if not self.volume_tolerance > 0.0:
-            raise DomainError("volume_tolerance must be positive")
-        if self.target_volume < 0.0:
+        if not 0.0 < self.volume_tolerance < math.inf:
+            raise DomainError("volume_tolerance must be positive and finite")
+        if not self.target_volume >= 0.0:
             raise DomainError("target_volume must be non-negative")
         if self.window is not None and not (
             math.isfinite(self.window) and self.window > 0.0
@@ -104,17 +104,11 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     v, tau = cfg.target_volume, cfg.volume_tolerance
     n = len(xs)
 
-    best: Optional[tuple[float, tuple[float, ...]]] = None
+    # (content, endpoints) of the best empty, one- and two-component sets; the least wins.
+    candidates: list[tuple[float, tuple[float, ...]]] = []
     examined = 0
-
-    def consider(content: float, endpoints: tuple[float, ...]) -> None:
-        nonlocal best
-        cand = (content, endpoints)
-        if best is None or cand < best:
-            best = cand
-
     if abs(v) <= tau:
-        consider(0.0, ())
+        candidates.append((0.0, ()))
         examined += 1
 
     # Every interval [x_i, x_j] light enough to take part, ordered by (i, j):
@@ -143,7 +137,7 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         cand_j = iv_j[singles]
         order = np.lexsort((cand_j, cand_i, cand_c))
         k = order[0]
-        consider(float(cand_c[k]), (float(xs[cand_i[k]]), float(xs[cand_j[k]])))
+        candidates.append((float(cand_c[k]), (float(xs[cand_i[k]]), float(xs[cand_j[k]]))))
 
     if cfg.max_components == 2 and len(iv_i) > 0:
         # Join every first interval u = (i1, j1) at once: count the second
@@ -204,17 +198,15 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         if len(u):
             c = iv_c[u] + iv_c[w]
             k = np.lexsort((ends[w], ends[u], c))[0]
-            consider(
-                float(c[k]),
-                tuple(float(xs[e]) for e in (iv_i[u[k]], iv_j[u[k]], iv_i[w[k]], iv_j[w[k]])),
-            )
+            ends_k = (iv_i[u[k]], iv_j[u[k]], iv_i[w[k]], iv_j[w[k]])
+            candidates.append((float(c[k]), tuple(float(xs[e]) for e in ends_k)))
 
-    if best is None:
+    if not candidates:
         raise InfeasibleSearchError(
             f"no grid-aligned candidate has measure within {tau} of {v}; "
             "refine the grid or widen the volume tolerance"
         )
-    content, endpoints = best
+    content, endpoints = min(candidates)
     components = [(endpoints[k], endpoints[k + 1]) for k in range(0, len(endpoints), 2)]
     return SearchOutcome(IntervalUnion.of(components), content, examined)
 
@@ -250,12 +242,14 @@ def certify_bound(
     gap so the window is always feasible.
     """
     N = require_dimension(N)
-    if avr_value < 0.0:
+    if not avr_value >= 0.0:
         raise DomainError("avr must be non-negative")
+    if len(volumes) == 0:
+        raise DomainError("certification needs at least one volume")
     rows = []
     for v in volumes:
         v = float(v)
-        if v < 0.0:
+        if not v >= 0.0:
             raise DomainError(f"swept volume must be non-negative, got {v}")
         if cfg.window is None and not math.isfinite(space.D):
             if avr_value <= 0.0:

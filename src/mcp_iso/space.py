@@ -101,9 +101,6 @@ class IntervalUnion:
     def empty(cls) -> "IntervalUnion":
         return cls(())
 
-    def endpoints(self) -> tuple[float, ...]:
-        return tuple(x for c in self.components for x in c)
-
     def to_dict(self) -> dict:
         return {"intervals": [[s, t] for s, t in self.components]}
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcp_iso
 from mcp_iso.cli import main
 
 
@@ -108,6 +113,22 @@ def test_min_dimension_and_none_case(capsys, tmp_path):
     assert out.splitlines()[1] == "none"
 
 
+def test_min_dimension_rejects_an_infinite_upper_end(tmp_path):
+    # The bisection midpoint of [n_lo, inf] is inf, so the search never
+    # narrowed; a separate process lets the timeout catch that.
+    cone = write_json(
+        tmp_path, "cone.json", {"D": "inf", "density": {"type": "monomial", "c": 1.0, "p": 1.0}}
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mcp_iso.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcp_iso.cli", "min-dimension", "--space", cone, "--n-hi", "inf"],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
 def test_avr_command(capsys, tmp_path):
     space = write_json(
         tmp_path,
@@ -175,22 +196,65 @@ def test_missing_field_diagnostics(capsys, tmp_path):
     assert "density" in err
 
 
+SHARP_SPACE = {"D": "inf", "density": {"type": "paper_sharp", "avr": 0.2, "mass": 1.0, "N": 2.0}}
+
+
+def search_files(**config):
+    """The --space and --config payloads of a search on the sharp space."""
+    return {"--space": SHARP_SPACE, "--config": {"N": 2.0, "volumes": [0.5], **config}}
+
+
 @pytest.mark.parametrize(
-    "argv, space",
+    "argv, files",
     [
-        (("profile", "--N", "2", "--D", "1", "--v", "0:1:x"), None),
+        (("profile", "--N", "2", "--D", "1", "--v", "0:1:x"), {}),
         (("validate-density", "--N", "2"),
-         {"D": "foo", "density": {"type": "constant", "c": 1.0}}),
-        (("validate-density", "--N", "2"), {"D": 1.0, "density": {"type": "constant", "c": "a"}}),
-        (("validate-density", "--N", "2"), {"D": 1.0, "density": {"type": "constant", "c": None}}),
+         {"--space": {"D": "foo", "density": {"type": "constant", "c": 1.0}}}),
+        (("validate-density", "--N", "2"),
+         {"--space": {"D": 1.0, "density": {"type": "constant", "c": "a"}}}),
+        (("validate-density", "--N", "2"),
+         {"--space": {"D": 1.0, "density": {"type": "constant", "c": None}}}),
         # Overflows inside the profile; an error now, a value once the profile is overflow-free.
-        (("profile", "--N", "30", "--D", "1", "--v", "0.5"), None),
+        (("profile", "--N", "30", "--D", "1", "--v", "0.5"), {}),
+        (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2"), {}),
+        (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2:-3"), {}),
+        (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2:0"), {}),
+        (("profile", "--N", "2", "--D", "1", "--v", "0:0.2:3", "--log"), {}),
+        (("expansion", "--N", "2", "--v-min", "0.1", "--v-max", "0.01"), {}),
+        (("bounds", "--N", "2", "--avr", "nan", "--mass", "1"), {}),
+        (("bounds", "--N", "2", "--avr", "1", "--mass", "nan"), {}),
+        (("avr", "--N", "2"), {"--space": None}),
+        (("min-dimension", "--n-lo", "1"), {"--space": SHARP_SPACE}),
+        (("min-dimension", "--n-lo", "3", "--n-hi", "2"), {"--space": SHARP_SPACE}),
+        (("search",), search_files(volumes=0.5)),
+        (("search",), search_files(volumes=[])),
+        (("search",), search_files(volumes={"sweep": "0.1:0.5:0"})),
+        (("search",), search_files(volumes={"log": True})),
+        (("search",), search_files(grid_points=2.7)),
+        (("search",), search_files(max_components=1.9)),
+        (("search",), search_files(max_components=True)),
+        (("search",), search_files(volume_tolerance="inf")),
+        (("search",), search_files(volume_tolerance="nan")),
+        (("search",), search_files(avr="nan")),
+        (("search",), search_files(volumes=["nan"])),
     ],
-    ids=["sweep-count", "space-D", "density-string", "density-null", "profile-overflow"],
+    ids=[
+        "sweep-count", "space-D", "density-string", "density-null", "profile-overflow",
+        "sweep-two-parts", "sweep-negative-count", "sweep-zero-count", "log-sweep-zero",
+        "expansion-v-range", "bounds-avr-nan", "bounds-mass-nan", "unreadable-file",
+        "n-lo-one", "n-hi-below-n-lo", "volumes-scalar", "volumes-empty", "volumes-empty-sweep",
+        "volumes-without-sweep",
+        "grid-points-float", "max-components-float", "max-components-bool",
+        "volume-tolerance-inf", "volume-tolerance-nan", "avr-nan", "volume-nan",
+    ],
 )
-def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, space):
-    if space is not None:
-        argv += ("--space", write_json(tmp_path, "space.json", space))
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
+    for flag, payload in files.items():
+        # A payload of None names a file that does not exist.
+        path = tmp_path / f"{flag.strip('-')}.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload))
+        argv += (flag, str(path))
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

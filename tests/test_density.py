@@ -44,6 +44,32 @@ def test_constructor_validation():
         # discontinuous at the breakpoint: 1 vs 2
         PiecewiseMonomialDensity((1.0,), ((1.0, 0.0), (2.0, 0.0)))
     with pytest.raises(DomainError):
+        PiecewiseMonomialDensity((-1.0,), ((1.0, 0.0), (1.0, 0.0)))  # breakpoint <= 0
+    with pytest.raises(DomainError):
+        # breakpoints not increasing
+        PiecewiseMonomialDensity((2.0, 1.0), ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(DomainError):
+        # continuous, but the first exponent is negative
+        PiecewiseMonomialDensity((1.0,), ((1.0, -0.5), (1.0, -0.5)))
+    with pytest.raises(DomainError):
+        TabulatedDensity((0.0, 1.0, 2.0), (1.0, 1.0))  # length mismatch
+    with pytest.raises(DomainError):
+        TabulatedDensity((-1.0, 1.0), (1.0, 1.0))  # grid starts below 0
+    with pytest.raises(DomainError):
+        TabulatedDensity((0.0, 1.0, INF), (1.0, 1.0, 1.0))
+    with pytest.raises(DomainError):
+        TabulatedDensity((0.0, math.nan, 2.0), (1.0, 1.0, 1.0))
+    with pytest.raises(DomainError):
+        TabulatedDensity((0.0, 1.0, 2.0), (1.0, math.nan, 1.0))
+    with pytest.raises(DomainError):
+        TabulatedDensity((0.0, 1.0, 2.0), (1.0, INF, 1.0))
+    with pytest.raises(DomainError):
+        MonomialDensity(1.0, math.nan)
+    with pytest.raises(DomainError):
+        PiecewiseMonomialDensity((1.0,), ((1.0, math.nan), (1.0, 1.0)))
+    with pytest.raises(DomainError):
+        PiecewiseMonomialDensity((1.0,), ((1.0, 1.0), (1.0, math.nan)))
+    with pytest.raises(DomainError):
         TabulatedDensity((0.0, 1.0, 0.5), (1.0, 1.0, 1.0))
     with pytest.raises(DomainError):
         TabulatedDensity((0.0, 1.0, 2.0), (1.0, -1.0, 1.0))
@@ -315,6 +341,32 @@ def test_minimal_dimension_exp_tabulated():
 def test_minimal_dimension_sharp_is_its_parameter():
     n_star = minimal_mcp_dimension(SharpDensity(0.2, 1.0, 2.5), INF, 1.5, 10.0)
     assert n_star == pytest.approx(2.5, abs=1e-6)
+
+
+# x^2 on [0, 3], sampled on a grid: its minimal dimension is 3, so a
+# one-point grid that passes every N must be refused.
+SQUARE_PIECES = PiecewiseMonomialDensity((1.0,), ((1.0, 2.0), (1.0, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exp_tabulated()(3.5),
+        lambda: check_mcp_density(ConstantDensity(1.0), 0.0, 2.0),
+        lambda: check_mcp_density(exp_tabulated(2.0, 3.0), 1.0, 2.0),
+        lambda: check_mcp_density(SQUARE_PIECES, 3.0, 3.0, grid_points=1),
+        lambda: minimal_mcp_dimension(SQUARE_PIECES, 3.0, 1.0, 30.0),
+        lambda: minimal_mcp_dimension(SQUARE_PIECES, 3.0, 4.0, 4.0),
+        lambda: minimal_mcp_dimension(SQUARE_PIECES, 3.0, 1.01, 30.0, grid_points=1),
+    ],
+    ids=[
+        "eval-outside-table", "domain-zero", "support-misses-domain", "check-one-point",
+        "n-lo-one", "n-hi-at-n-lo", "min-dimension-one-point",
+    ],
+)
+def test_bad_check_arguments_raise(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # ------------------------------------------------------------------ verdicts

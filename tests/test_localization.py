@@ -64,6 +64,12 @@ def test_preconditions():
         disintegrate_ball(bounded, 1.0, 12.0)  # R beyond the rays
     with pytest.raises(DomainError):
         disintegrate_ball(model, 1.0, math.inf)
+    with pytest.raises(DomainError):
+        RadialModel(0.0, ConstantDensity(1.0), 2.0, 10.0)  # theta <= 0
+    with pytest.raises(DomainError):
+        RadialModel(1.0, ConstantDensity(1.0), 2.0, 0.0)  # ray_length <= 0
+    with pytest.raises(DomainError):
+        TruncatedNeedle(math.inf, ConstantDensity(1.0))
 
 
 def test_model_requires_admissible_weight():

@@ -66,3 +66,5 @@ def test_invert_monotone_bracket_and_monotonicity_errors():
         invert_monotone(lambda x: x, 2.0, 0.0, 1.0)
     with pytest.raises(PreconditionError):
         invert_monotone(lambda x: -x, 0.5, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        invert_monotone(lambda x: x, 0.5, 1.0, 1.0)

@@ -61,6 +61,35 @@ def test_eval_f_domain_errors():
         eval_f(1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_v(2.0, 1.0, 0.0),
+        lambda: eval_v(2.0, 1.0, 1.0),
+        lambda: invert_v(2.0, 1.0, 0.0),
+        lambda: invert_v(2.0, 1.0, 1.0),
+        lambda: avr_lower_bound(2.0, -1.0, 1.0),
+        lambda: avr_lower_bound(2.0, 1.0, -1.0),
+        lambda: avr_lower_bound(2.0, math.nan, 1.0),
+        lambda: avr_lower_bound(2.0, 1.0, math.nan),
+        lambda: cd_lower_bound(2.0, -1.0, 1.0),
+        lambda: cd_lower_bound(2.0, 1.0, -1.0),
+        lambda: cd_lower_bound(2.0, math.nan, 1.0),
+        lambda: cd_lower_bound(2.0, 1.0, math.nan),
+    ],
+    ids=[
+        "v-a-zero", "v-a-at-D", "invert-v-zero", "invert-v-one",
+        "avr-bound-avr-negative", "avr-bound-mass-negative",
+        "avr-bound-avr-nan", "avr-bound-mass-nan",
+        "cd-bound-avr-negative", "cd-bound-mass-negative",
+        "cd-bound-avr-nan", "cd-bound-mass-nan",
+    ],
+)
+def test_out_of_domain_arguments_raise(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_eval_v_golden_and_limits():
     assert eval_v(2.0, 1.0, 0.5) == pytest.approx(0.5, rel=1e-13)
     assert eval_v(2.0, 1.0, 1e-12) < 1e-11

@@ -147,6 +147,32 @@ def test_config_validation():
         SearchConfig(target_volume=0.1, volume_tolerance=0.1, max_components=3)
     with pytest.raises(DomainError):
         SearchConfig(target_volume=-0.1, volume_tolerance=0.1)
+    with pytest.raises(DomainError):
+        SearchConfig(target_volume=math.nan, volume_tolerance=0.1)
+    with pytest.raises(DomainError):
+        SearchConfig(target_volume=0.1, volume_tolerance=math.inf)
+    with pytest.raises(DomainError):
+        SearchConfig(target_volume=0.1, volume_tolerance=0.1, window=math.inf)
+    with pytest.raises(DomainError):  # a window beyond the domain [0, 1]
+        brute_force_profile(unit_space(), SearchConfig(0.1, 0.1, grid_points=8, window=2.0))
+
+
+@pytest.mark.parametrize(
+    "space, avr_value, volumes",
+    [
+        (WeightedInterval(1.0, ConstantDensity(1.0)), -1.0, [0.5]),
+        (WeightedInterval(1.0, ConstantDensity(1.0)), math.nan, [0.5]),
+        (WeightedInterval(1.0, ConstantDensity(1.0)), 0.0, [-0.5]),
+        (WeightedInterval(1.0, ConstantDensity(1.0)), 0.0, [math.nan]),
+        (WeightedInterval(1.0, ConstantDensity(1.0)), 0.0, []),
+        (WeightedInterval(math.inf, MonomialDensity(1.0, 1.0)), 0.0, [0.5]),
+    ],
+    ids=["avr-negative", "avr-nan", "v-negative", "v-nan", "no-volumes", "half-line-avr-zero"],
+)
+def test_certify_bound_rejects_bad_arguments(space, avr_value, volumes):
+    cfg = SearchConfig(target_volume=0.0, volume_tolerance=1e-9, grid_points=16)
+    with pytest.raises(DomainError):
+        certify_bound(space, 2.0, avr_value, volumes, cfg)
 
 
 def test_certify_bound_sharp_space_margins():

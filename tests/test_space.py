@@ -146,6 +146,8 @@ def test_estimator_preconditions():
         minkowski_content_estimator(space, close, (1e-3, 1e-4))
     with pytest.raises(PreconditionError):
         minkowski_content_estimator(space, IntervalUnion.of([(0.2, 0.4)]), (1e-4, 1e-3))
+    with pytest.raises(PreconditionError):
+        minkowski_content_estimator(space, IntervalUnion.of([(0.2, 0.4)]), ())
 
 
 def random_corpus(count, seed=20240917):
@@ -340,3 +342,15 @@ def test_space_validation():
         WeightedInterval(3.0, TabulatedDensity((0.0, 1.0), (1.0, 1.0)))
     with pytest.raises(DomainError):
         space_from_dict({"D": 1.0})
+    with pytest.raises(DomainError):
+        WeightedInterval(0.0, ConstantDensity(1.0))
+    with pytest.raises(DomainError):
+        IntervalUnion.of([(0.0, INF)])
+    with pytest.raises(DomainError):
+        interval_union_from_dict({"components": [[0.0, 1.0]]})
+    with pytest.raises(DomainError):
+        volume_ratio(unit_space(), 2.0, 0.0)
+    with pytest.raises(DomainError):
+        volume_ratio(unit_space(), 2.0, 1.5)
+    with pytest.raises(DomainError):
+        bishop_gromov_check(unit_space(), 2.0, [0.5, 0.5])
