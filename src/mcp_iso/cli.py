@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from . import localization as loc
 from . import search as search_mod
@@ -107,25 +110,23 @@ def _set_to_text(best_set) -> str:
 
 
 def _cmd_profile(args):
+    res = profile_mcp(args.N, args.D, _parse_sweep(args.v, args.log))
     headers = ["N", "D", "v", "a", "f_at_a", "profile"]
-    rows = []
-    for v in _parse_sweep(args.v, args.log):
-        res = profile_mcp(args.N, args.D, v)
-        rows.append([res.N, res.D, res.v, res.a, res.f_at_a, res.profile])
-    return headers, rows, True
+    columns = zip(res.v.tolist(), res.a.tolist(), res.f_at_a.tolist(), res.profile.tolist())
+    return headers, [[res.N, res.D, *col] for col in columns], True
 
 
 def _cmd_expansion(args):
     if not (0.0 < args.v_min < args.v_max):
         raise DomainError("need 0 < --v-min < --v-max")
     lead = expansion_leading_coefficient(args.N)
+    vs = np.array(_parse_sweep(f"{args.v_max}:{args.v_min}:{args.points}", log=True))
+    prof = profile_mcp(args.N, 1.0, vs).profile
+    ratio = prof / vs ** ((args.N - 1.0) / args.N)
+    deviation = np.abs(ratio - lead) / lead
     headers = ["v", "profile", "ratio", "leading", "rel_deviation"]
-    rows = []
-    for v in _parse_sweep(f"{args.v_max}:{args.v_min}:{args.points}", log=True):
-        prof = profile_mcp(args.N, 1.0, v).profile
-        ratio = prof / v ** ((args.N - 1.0) / args.N)
-        rows.append([v, prof, ratio, lead, abs(ratio - lead) / lead])
-    return headers, rows, True
+    columns = zip(vs.tolist(), prof.tolist(), ratio.tolist(), deviation.tolist())
+    return headers, [[v, p, r, lead, d] for v, p, r, d in columns], True
 
 
 def _cmd_validate_density(args):
@@ -190,13 +191,9 @@ def _cmd_search(args):
         N = float(config["N"])
     except KeyError:
         raise DomainError("search config needs a field 'N'")
-    if "avr" in config:
-        avr_value = float(config["avr"])
-    else:
-        value, certified = avr(space, N)
-        if not certified:
-            raise DomainError("space has no certified avr; set 'avr' in the config")
-        avr_value = value
+    # Without a known tail, avr is uncertified only for tabulated densities,
+    # which a half-line space refuses; bounded spaces have avr = 0, certified.
+    avr_value = float(config["avr"]) if "avr" in config else avr(space, N).value
     raw_volumes = config.get("volumes")
     if isinstance(raw_volumes, dict) and "sweep" in raw_volumes:
         volumes = _parse_sweep(raw_volumes["sweep"], bool(raw_volumes.get("log", False)))
@@ -242,7 +239,10 @@ def _cmd_localize(args):
     return headers, rows, all_ordered
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mcp-iso",
         description="Curvature-controlled isoperimetric bounds on weighted intervals",

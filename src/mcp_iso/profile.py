@@ -10,7 +10,10 @@ and a(v) inverts the strictly increasing volume map
 
 Arbitrary diameters reduce to D = 1 through the exact rescalings
 f_D(D x) = f_1(x) / D and v_D(D a) = v_1(a), so only the unit closed form
-needs numerical care.
+needs numerical care.  Both maps are symmetric about 1/2: f(1-x) = f(x) and
+v(1-a) = 1 - v(a), so every evaluation and every solve runs on the left
+half a <= 1/2.  Every function here takes a float or a numpy array and
+returns floats or arrays to match.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .numerics import invert_monotone, require_dimension, unit_ball_volume
+from .numerics import require_dimension, unit_ball_volume
 
 __all__ = [
     "ProfileResult",
@@ -32,19 +37,65 @@ __all__ = [
     "cd_lower_bound",
 ]
 
-# Inversion runs on [eps, 1 - eps]; the defining integrals of f degenerate
-# at both endpoints.
-_EDGE_CLIP = 1e-14
+_LOG2 = math.log(2.0)
+# The inversion stops once its Newton step in log a, a relative change of a,
+# falls below this; convergence is quadratic, so the accepted point is
+# accurate to rounding.
+_STEP_RTOL = 1e-10
+# Cap on the lockstep iterations; bisection alone needs fewer than 60.
+_MAX_STEPS = 100
 
 
-def _f_unit(N: float, x: float) -> float:
-    return N / ((1.0 - x) ** (1.0 - N) + x ** (1.0 - N) - 1.0)
+def _left_terms(N: float, t: np.ndarray):
+    """log v(a), d log v / d log a and f(a) at a = e^t <= 1/2, unit diameter.
+
+    With A = a^(N-1), B = (1-a)^(N-1), rho = A / B <= 1, R = 1 - (1-a)^N and
+    S = rho + 1 - A >= 1, v = rho R / S and f = N A / S: no factor exceeds
+    2, so nothing overflows, and
+
+        d log v / d log a = (N-1) (1 - a A) / ((1-a) S) + N a B / R > 0.
+    """
+    a = np.exp(t)
+    log1m_a = np.log1p(-a)
+    log_rho = (N - 1.0) * (t - log1m_a)
+    A = np.exp((N - 1.0) * t)
+    B = np.exp((N - 1.0) * log1m_a)
+    R = -np.expm1(N * log1m_a)
+    S = np.exp(log_rho) - np.expm1((N - 1.0) * t)
+    log_v = log_rho + np.log(R) - np.log(S)
+    slope = (N - 1.0) * (1.0 - a * A) / ((1.0 - a) * S) + N * a * B / R
+    return log_v, slope, N * A / S
 
 
-def _v_unit(N: float, a: float) -> float:
-    # 1 - (1-a)^N evaluated without cancellation for small a.
-    raised = -math.expm1(N * math.log1p(-a))
-    return _f_unit(N, a) * raised / (N * (1.0 - a) ** (N - 1.0))
+def _solve_left(N: float, w: np.ndarray) -> np.ndarray:
+    """t = log a with v(a) = w, for w in (0, 1/2], all elements in lockstep.
+
+    Newton on the residual log v - log w, safeguarded by a per-element
+    bracket: a step that leaves the bracket is replaced by bisection.
+    """
+    log_w = np.log(w)
+    # v(a) <= N 2^(N-1) a^N on the left half bounds the root from below and
+    # v(1/2) = 1/2 from above; Newton starts from a = (w/N)^(1/N).
+    lo = (log_w - math.log(N) - (N - 1.0) * _LOG2) / N
+    hi = np.full_like(log_w, -_LOG2)
+    t = np.minimum((log_w - math.log(N)) / N, hi)
+    active = np.ones(w.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        log_v, slope, _ = _left_terms(N, t)
+        g = log_v - log_w
+        lo = np.where(g < 0.0, t, lo)
+        hi = np.where(g > 0.0, t, hi)
+        step = g / slope
+        newton = t - step
+        inside = (lo <= newton) & (newton <= hi)
+        t_next = np.where(inside, newton, 0.5 * (lo + hi))
+        # Done on a small Newton step, or when rounding leaves no move.
+        done = (inside & (np.abs(step) <= _STEP_RTOL)) | (t_next == t)
+        t = np.where(active, t_next, t)
+        active &= ~done
+        if not active.any():
+            break
+    return t
 
 
 def _validate_diameter(D: float) -> float:
@@ -54,63 +105,96 @@ def _validate_diameter(D: float) -> float:
     return D
 
 
-def eval_f(N: float, D: float, x: float) -> float:
-    """The boundary-size factor f at interior point x of [0, D]."""
+def _inputs(name: str, x, lo: float, hi: float, closed: bool):
+    """x flattened to a float array checked to lie in (lo, hi), or [lo, hi]
+    when closed; with whether x was a scalar and its shape, for _outputs."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.reshape(-1)
+    ok = (lo <= flat) & (flat <= hi) if closed else (lo < flat) & (flat < hi)
+    if not ok.all():
+        bounds = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
+        raise DomainError(f"{name} must lie in {bounds}, got {flat[~ok][0]}")
+    return flat, arr.ndim == 0, arr.shape
+
+
+def _outputs(scalar: bool, shape, *values):
+    if scalar:
+        return tuple(float(x[0]) for x in values)
+    return tuple(x.reshape(shape) for x in values)
+
+
+def _unit_solve(N: float, v: np.ndarray):
+    """a(v) and f(a(v)) on the unit diameter for v in (0, 1).
+
+    Above 1/2 the solve runs at w = 1 - v (exact there) and a = 1 - a(w);
+    f is taken at the left-half root, where no digits are lost.
+    """
+    right = v > 0.5
+    t = _solve_left(N, np.where(right, 1.0 - v, v))
+    a = np.exp(t)
+    return np.where(right, 1.0 - a, a), _left_terms(N, t)[2]
+
+
+def eval_f(N: float, D: float, x):
+    """The boundary-size factor f at interior points x of [0, D]."""
     N = require_dimension(N)
     D = _validate_diameter(D)
-    if not (0.0 < x < D):
-        raise DomainError(f"x must lie in (0, D) = (0, {D}), got {x}")
-    return _f_unit(N, x / D) / D
+    x, scalar, shape = _inputs("x", x, 0.0, D, closed=False)
+    xi = x / D
+    f = _left_terms(N, np.log(np.minimum(xi, 1.0 - xi)))[2]
+    return _outputs(scalar, shape, f / D)[0]
 
 
-def eval_v(N: float, D: float, a: float) -> float:
+def eval_v(N: float, D: float, a):
     """The volume fraction carried to the left of a; strictly increasing."""
     N = require_dimension(N)
     D = _validate_diameter(D)
-    if not (0.0 < a < D):
-        raise DomainError(f"a must lie in (0, D) = (0, {D}), got {a}")
-    return _v_unit(N, a / D)
+    a, scalar, shape = _inputs("a", a, 0.0, D, closed=False)
+    ai = a / D
+    right = ai > 0.5
+    v = np.exp(_left_terms(N, np.log(np.where(right, 1.0 - ai, ai)))[0])
+    return _outputs(scalar, shape, np.where(right, 1.0 - v, v))[0]
 
 
-def invert_v(N: float, D: float, v: float) -> float:
+def invert_v(N: float, D: float, v):
     """The parameter a with eval_v(N, D, a) = v, for v in (0, 1)."""
     N = require_dimension(N)
     D = _validate_diameter(D)
-    if not (0.0 < v < 1.0):
-        raise DomainError(f"v must lie in (0, 1), got {v}")
-    a_unit = invert_monotone(lambda a: _v_unit(N, a), v, _EDGE_CLIP, 1.0 - _EDGE_CLIP)
-    return D * a_unit
+    v, scalar, shape = _inputs("v", v, 0.0, 1.0, closed=False)
+    return _outputs(scalar, shape, D * _unit_solve(N, v)[0])[0]
 
 
 @dataclass(frozen=True)
 class ProfileResult:
-    """One evaluated point of the model profile."""
+    """Evaluated points of the model profile: floats, or arrays of one shape."""
 
     N: float
     D: float
-    v: float
-    a: float
-    f_at_a: float
-    profile: float
+    v: float | np.ndarray
+    a: float | np.ndarray
+    f_at_a: float | np.ndarray
+    profile: float | np.ndarray
 
 
-def profile_mcp(N: float, D: float, v: float) -> ProfileResult:
-    """Model profile value at volume fraction v in [0, 1].
+def profile_mcp(N: float, D: float, v) -> ProfileResult:
+    """Model profile values at volume fractions v in [0, 1].
 
+    v is a float or an array; the result holds floats or arrays to match.
     Both one-sided limits of f(a(v)) vanish at the endpoints, so the closed
     extension uses profile(0) = profile(1) = 0.
     """
     N = require_dimension(N)
     D = _validate_diameter(D)
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"v must lie in [0, 1], got {v}")
-    if v == 0.0:
-        return ProfileResult(N, D, v, 0.0, 0.0, 0.0)
-    if v == 1.0:
-        return ProfileResult(N, D, v, D, 0.0, 0.0)
-    a = invert_v(N, D, v)
-    f_at_a = eval_f(N, D, a)
-    return ProfileResult(N, D, v, a, f_at_a, f_at_a)
+    v, scalar, shape = _inputs("v", v, 0.0, 1.0, closed=True)
+    a = np.where(v == 1.0, D, 0.0)
+    f = np.zeros_like(v)
+    inner = (v > 0.0) & (v < 1.0)
+    if inner.any():
+        a_unit, f_unit = _unit_solve(N, v[inner])
+        a[inner] = D * a_unit
+        f[inner] = f_unit / D
+    v, a, f = _outputs(scalar, shape, v, a, f)
+    return ProfileResult(N, D, v, a, f, f)
 
 
 def expansion_leading_coefficient(N: float) -> float:

@@ -52,6 +52,14 @@ def test_profile_golden_and_sweep(capsys):
     )
 
 
+def test_profile_at_large_n_is_a_value(capsys):
+    # x^(1-N) overflowed here once; the symmetric point is a = 1/2 exactly
+    # and the profile is N / (2^N - 1).
+    code, out, _ = run(capsys, "profile", "--N", "30", "--D", "1", "--v", "0.5")
+    assert code == 0
+    assert out.splitlines()[1] == "30,1,0.5,0.5,2.79396772645e-08,2.79396772645e-08"
+
+
 def test_log_sweep_spacing(capsys):
     code, out, _ = run(
         capsys, "profile", "--N", "2", "--D", "1", "--v", "1e-4:1e-2:3", "--log"
@@ -214,8 +222,6 @@ def search_files(**config):
          {"--space": {"D": 1.0, "density": {"type": "constant", "c": "a"}}}),
         (("validate-density", "--N", "2"),
          {"--space": {"D": 1.0, "density": {"type": "constant", "c": None}}}),
-        # Overflows inside the profile; an error now, a value once the profile is overflow-free.
-        (("profile", "--N", "30", "--D", "1", "--v", "0.5"), {}),
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2"), {}),
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2:-3"), {}),
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2:0"), {}),
@@ -239,7 +245,7 @@ def search_files(**config):
         (("search",), search_files(volumes=["nan"])),
     ],
     ids=[
-        "sweep-count", "space-D", "density-string", "density-null", "profile-overflow",
+        "sweep-count", "space-D", "density-string", "density-null",
         "sweep-two-parts", "sweep-negative-count", "sweep-zero-count", "log-sweep-zero",
         "expansion-v-range", "bounds-avr-nan", "bounds-mass-nan", "unreadable-file",
         "n-lo-one", "n-hi-below-n-lo", "volumes-scalar", "volumes-empty", "volumes-empty-sweep",
@@ -266,6 +272,18 @@ def test_byte_stability(capsys, tmp_path):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_runs_in_one_process_share_no_state(capsys):
+    # The parser is built once per process and reused by every run.
+    profile = ("profile", "--N", "2.5", "--D", "3", "--v", "0.1:0.9:4", "--format", "json")
+    bounds = ("bounds", "--N", "2.5", "--avr", "0.3", "--mass", "1.7")
+    first = run(capsys, *profile)
+    between = run(capsys, *bounds)
+    assert run(capsys, *profile) == first
+    assert run(capsys, *bounds) == between
+    assert first[0] == between[0] == 0
+    assert between[1].startswith("N,avr,mass,")  # no --format carried over
 
 
 def test_precision_flag(capsys):

@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from mcp_iso import (
@@ -129,6 +130,81 @@ def test_profile_golden_and_endpoints():
     assert profile_mcp(3.0, 2.0, 1.0).profile == 0.0
     with pytest.raises(DomainError):
         profile_mcp(2.0, 1.0, 1.5)
+
+
+def test_profile_at_large_n_has_no_overflow():
+    # v = 1/2 is the symmetric point: a = 1/2 and profile = N / (2^N - 1).
+    res = profile_mcp(30.0, 1.0, 0.5)
+    assert res.a == 0.5
+    assert res.profile == pytest.approx(30.0 / (2.0**30 - 1.0), rel=1e-14)
+
+
+def mp_root(n, v, a):
+    """The 50-digit root of v(x) = v, located within a relative 1e-11 of a.
+
+    Solved in t = log x, or t = log(1 - x) above v = 1/2 where x is near 1,
+    so that the solver's tolerance is relative.  1 - (1-x)^N is written
+    -expm1(N log1p(-x)): the plain form underflows to 0 for tiny x even at
+    50 digits.
+    """
+    with mpmath.workdps(50):
+        n, v, a = mpmath.mpf(n), mpmath.mpf(v), mpmath.mpf(a)
+
+        def f(x):
+            return n / ((1 - x) ** (1 - n) + x ** (1 - n) - 1)
+
+        def vol(x):
+            return f(x) * -mpmath.expm1(n * mpmath.log1p(-x)) / (n * (1 - x) ** (n - 1))
+
+        right = v > 0.5
+
+        def to_x(t):
+            return 1 - mpmath.exp(t) if right else mpmath.exp(t)
+
+        def g(t):
+            if right:
+                return mpmath.log((1 - vol(to_x(t))) / (1 - v))
+            return mpmath.log(vol(to_x(t)) / v)
+
+        ends = (a * (1 - mpmath.mpf("1e-11")), a * (1 + mpmath.mpf("1e-11")))
+        bracket = sorted(mpmath.log(1 - x) if right else mpmath.log(x) for x in ends)
+        assert g(bracket[0]) * g(bracket[1]) < 0, (float(n), float(v))
+        x = to_x(mpmath.findroot(g, bracket, solver="anderson"))
+        return x, f(x)
+
+
+ORACLE_N = (1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 50.0, 200.0)
+ORACLE_V = np.concatenate(
+    [np.logspace(-300.0, math.log10(0.5), 31), 1.0 - np.logspace(-1.0, -9.0, 9)]
+)
+
+
+@pytest.mark.parametrize("n", ORACLE_N)
+def test_profile_matches_mpmath_to_1e12_relative(n):
+    res = profile_mcp(n, 1.0, ORACLE_V)
+    for v, a, prof in zip(ORACLE_V, res.a, res.profile):
+        a_ref, prof_ref = mp_root(n, v, a)
+        assert abs(a - a_ref) <= 1e-12 * a_ref, (n, v)
+        assert abs(prof - prof_ref) <= 1e-12 * prof_ref, (n, v)
+
+
+def test_scalar_call_equals_its_array_element_bit_for_bit():
+    vs = np.concatenate([[0.0, 1e-300, 1e-8, 0.5, 1.0 - 1e-9, 1.0], np.linspace(0.05, 0.95, 7)])
+    for n in (1.01, 2.0, 5.0, 30.0):
+        res = profile_mcp(n, 2.5, vs)
+        for k, v in enumerate(vs):
+            one = profile_mcp(n, 2.5, float(v))
+            assert isinstance(one.profile, float)
+            assert (one.a, one.profile) == (res.a[k], res.profile[k])
+
+
+def test_closed_forms_take_arrays():
+    vs = np.array([[1e-12, 0.2], [0.5, 0.9]])
+    for n in (1.5, 5.0):
+        a = invert_v(n, 3.0, vs)
+        assert a.shape == vs.shape
+        np.testing.assert_allclose(eval_v(n, 3.0, a), vs, rtol=1e-13)
+        np.testing.assert_allclose(eval_f(n, 3.0, a), profile_mcp(n, 3.0, vs).profile, rtol=1e-12)
 
 
 def test_profile_scales_exactly_with_diameter():
