@@ -51,6 +51,8 @@ def _parse_sweep(text: str, log: bool) -> list[float]:
     if len(parts) != 3:
         raise DomainError(f"sweep must look like a:b:n, got {text!r}")
     a, b = float(parts[0]), float(parts[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"sweep endpoints must be finite, got {text!r}")
     n = int(parts[2])
     if n < 1:
         raise DomainError(f"a sweep needs at least one point, got {text!r}")
@@ -117,8 +119,8 @@ def _cmd_profile(args):
 
 
 def _cmd_expansion(args):
-    if not (0.0 < args.v_min < args.v_max):
-        raise DomainError("need 0 < --v-min < --v-max")
+    if not (0.0 < args.v_min < args.v_max < math.inf):
+        raise DomainError(f"need 0 < --v-min < --v-max < inf, got {args.v_min} and {args.v_max}")
     lead = expansion_leading_coefficient(args.N)
     vs = np.array(_parse_sweep(f"{args.v_max}:{args.v_min}:{args.points}", log=True))
     prof = profile_mcp(args.N, 1.0, vs).profile

@@ -214,8 +214,8 @@ def expansion_leading_coefficient(N: float) -> float:
 def avr_lower_bound(N: float, avr: float, mass: float) -> float:
     """Boundary lower bound (N omega_N avr)^(1/N) * mass^((N-1)/N)."""
     N = require_dimension(N)
-    if not (avr >= 0.0 and mass >= 0.0):
-        raise DomainError("avr and mass must be non-negative")
+    if not (0.0 <= avr < math.inf and 0.0 <= mass < math.inf):
+        raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
     if avr == 0.0 or mass == 0.0:
         return 0.0
     return (N * unit_ball_volume(N) * avr) ** (1.0 / N) * mass ** ((N - 1.0) / N)
@@ -227,8 +227,8 @@ def cd_lower_bound(N: float, avr: float, mass: float) -> float:
     Always >= avr_lower_bound, with ratio N^((N-1)/N) when avr, mass > 0.
     """
     N = require_dimension(N)
-    if not (avr >= 0.0 and mass >= 0.0):
-        raise DomainError("avr and mass must be non-negative")
+    if not (0.0 <= avr < math.inf and 0.0 <= mass < math.inf):
+        raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
     if avr == 0.0 or mass == 0.0:
         return 0.0
     return N * unit_ball_volume(N) ** (1.0 / N) * avr ** (1.0 / N) * mass ** (

@@ -45,8 +45,8 @@ class SearchConfig:
             raise DomainError(f"max_components must be 1 or 2, got {self.max_components}")
         if not 0.0 < self.volume_tolerance < math.inf:
             raise DomainError("volume_tolerance must be positive and finite")
-        if not self.target_volume >= 0.0:
-            raise DomainError("target_volume must be non-negative")
+        if not 0.0 <= self.target_volume < math.inf:
+            raise DomainError(f"target_volume must be finite and >= 0, got {self.target_volume}")
         if self.window is not None and not (
             math.isfinite(self.window) and self.window > 0.0
         ):
@@ -132,12 +132,10 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     singles = iv_m >= v - tau
     examined += int(singles.sum())
     if singles.any():
-        cand_c = iv_c[singles]
-        cand_i = iv_i[singles]
-        cand_j = iv_j[singles]
-        order = np.lexsort((cand_j, cand_i, cand_c))
-        k = order[0]
-        candidates.append((float(cand_c[k]), (float(xs[cand_i[k]]), float(xs[cand_j[k]]))))
+        # The intervals come in (i, j) order, so the first least content wins.
+        single = np.flatnonzero(singles)
+        k = single[np.argmin(iv_c[single])]
+        candidates.append((float(iv_c[k]), (float(xs[iv_i[k]]), float(xs[iv_j[k]]))))
 
     if cfg.max_components == 2 and len(iv_i) > 0:
         # Join every first interval u = (i1, j1) at once: count the second
@@ -152,10 +150,9 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         # prefix's least rank.
         total = len(iv_i)
         slots = np.arange(total)
-        ends = iv_i * n + iv_j  # orders intervals by (i, j)
-        slot_iv = np.lexsort((ends, iv_m))
+        slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
         m_sorted = iv_m[slot_iv]
-        by_rank = np.lexsort((ends, iv_c))
+        by_rank = np.argsort(iv_c, kind="stable")  # ties keep (i, j) order
         rank = np.empty(total, dtype=np.int64)
         rank[by_rank] = slots
         slot_rank = rank[slot_iv]
@@ -197,7 +194,9 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         u, w = u[finite], w[finite]
         if len(u):
             c = iv_c[u] + iv_c[w]
-            k = np.lexsort((ends[w], ends[u], c))[0]
+            # One partner per u: a tie at the least sum goes to the least u.
+            tied = np.flatnonzero(c == c.min())
+            k = tied[np.argmin(u[tied])]
             ends_k = (iv_i[u[k]], iv_j[u[k]], iv_i[w[k]], iv_j[w[k]])
             candidates.append((float(c[k]), tuple(float(xs[e]) for e in ends_k)))
 
@@ -242,24 +241,25 @@ def certify_bound(
     gap so the window is always feasible.
     """
     N = require_dimension(N)
-    if not avr_value >= 0.0:
-        raise DomainError("avr must be non-negative")
-    if len(volumes) == 0:
+    if not 0.0 <= avr_value < math.inf:
+        raise DomainError(f"avr must be non-negative and finite, got {avr_value}")
+    volumes = [float(v) for v in volumes]
+    if not volumes:
         raise DomainError("certification needs at least one volume")
+    for v in volumes:
+        if not 0.0 <= v < math.inf:
+            raise DomainError(f"swept volume must be non-negative and finite, got {v}")
     rows = []
     for v in volumes:
-        v = float(v)
-        if not v >= 0.0:
-            raise DomainError(f"swept volume must be non-negative, got {v}")
         if cfg.window is None and not math.isfinite(space.D):
             if avr_value <= 0.0:
                 raise DomainError("half-line certification needs avr > 0 to size the window")
             window = 4.0 * (v / (N * unit_ball_volume(N) * avr_value)) ** (1.0 / N)
         else:
             window = _resolve_window(space, cfg)
-        xs, prefix, _, _ = _grid_and_measures(space, window, cfg.grid_points)
+        _, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
         gap = float(np.diff(prefix).max())
-        slack = gap * float(space.h(xs).max())
+        slack = gap * float(np.maximum(left_w, right_w).max())  # max h on the grid
         run_cfg = replace(
             cfg,
             target_volume=v,

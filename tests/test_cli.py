@@ -205,11 +205,23 @@ def test_missing_field_diagnostics(capsys, tmp_path):
 
 
 SHARP_SPACE = {"D": "inf", "density": {"type": "paper_sharp", "avr": 0.2, "mass": 1.0, "N": 2.0}}
+PLANE_MODEL = {"theta": 2.0 * math.pi, "weight": {"type": "monomial", "c": 1.0, "p": 1.0},
+               "N": 2.0, "ray_length": "inf"}
 
 
 def search_files(**config):
     """The --space and --config payloads of a search on the sharp space."""
     return {"--space": SHARP_SPACE, "--config": {"N": 2.0, "volumes": [0.5], **config}}
+
+
+def run_with_files(capsys, tmp_path, argv, files):
+    for flag, payload in files.items():
+        # A payload of None names a file that does not exist.
+        path = tmp_path / f"{flag.strip('-')}.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload))
+        argv += (flag, str(path))
+    return run(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -243,6 +255,14 @@ def search_files(**config):
         (("search",), search_files(volume_tolerance="nan")),
         (("search",), search_files(avr="nan")),
         (("search",), search_files(volumes=["nan"])),
+        (("search",), search_files(volumes=["inf"])),
+        (("profile", "--N", "2", "--D", "1", "--v", "0.1:1e400:3"), {}),
+        (("profile", "--N", "2", "--D", "1", "--v", "0.1:1e400:3", "--log"), {}),
+        (("expansion", "--N", "2", "--v-min", "0.01", "--v-max", "inf"), {}),
+        (("localize", "--r", "1", "--R", "8:inf:3"), {"--model": PLANE_MODEL}),
+        (("search",), search_files(volumes={"sweep": "0.1:1e400:3"})),
+        (("bounds", "--N", "2", "--avr", "inf", "--mass", "1"), {}),
+        (("bounds", "--N", "2", "--avr", "1", "--mass", "inf"), {}),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -252,19 +272,37 @@ def search_files(**config):
         "volumes-without-sweep",
         "grid-points-float", "max-components-float", "max-components-bool",
         "volume-tolerance-inf", "volume-tolerance-nan", "avr-nan", "volume-nan",
+        "volume-inf", "sweep-inf-endpoint", "log-sweep-inf-endpoint", "expansion-v-max-inf",
+        "localize-sweep-inf-endpoint", "volumes-sweep-inf-endpoint", "bounds-avr-inf",
+        "bounds-mass-inf",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
-    for flag, payload in files.items():
-        # A payload of None names a file that does not exist.
-        path = tmp_path / f"{flag.strip('-')}.json"
-        if payload is not None:
-            path.write_text(json.dumps(payload))
-        argv += (flag, str(path))
-    code, out, err = run(capsys, *argv)
+    code, out, err = run_with_files(capsys, tmp_path, argv, files)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, files, named",
+    [
+        (("profile", "--N", "2", "--D", "1", "--v", "0.1:1e400:3"), {}, "'0.1:1e400:3'"),
+        (("profile", "--N", "2", "--D", "1", "--v", "1e-3:1e400:3", "--log"), {},
+         "'1e-3:1e400:3'"),
+        (("localize", "--r", "1", "--R", "8:inf:3"), {"--model": PLANE_MODEL}, "'8:inf:3'"),
+        (("search",), search_files(volumes={"sweep": "nan:1:3"}), "'nan:1:3'"),
+        (("expansion", "--N", "2", "--v-min", "0.01", "--v-max", "inf"), {}, "--v-max"),
+        (("search",), search_files(volumes=["inf"]), "volume must be non-negative and finite"),
+    ],
+    ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion", "search-volume"],
+)
+def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
+    # A non-finite endpoint or volume is reported as given, not as the NaN
+    # or window that computing with it would produce.
+    code, _, err = run_with_files(capsys, tmp_path, argv, files)
+    assert code == 1
+    assert named in err
 
 
 def test_byte_stability(capsys, tmp_path):

@@ -77,6 +77,10 @@ def test_eval_f_domain_errors():
         lambda: cd_lower_bound(2.0, 1.0, -1.0),
         lambda: cd_lower_bound(2.0, math.nan, 1.0),
         lambda: cd_lower_bound(2.0, 1.0, math.nan),
+        lambda: avr_lower_bound(2.0, math.inf, 1.0),
+        lambda: avr_lower_bound(2.0, 1.0, math.inf),
+        lambda: cd_lower_bound(2.0, math.inf, 1.0),
+        lambda: cd_lower_bound(2.0, 1.0, math.inf),
     ],
     ids=[
         "v-a-zero", "v-a-at-D", "invert-v-zero", "invert-v-one",
@@ -84,6 +88,7 @@ def test_eval_f_domain_errors():
         "avr-bound-avr-nan", "avr-bound-mass-nan",
         "cd-bound-avr-negative", "cd-bound-mass-negative",
         "cd-bound-avr-nan", "cd-bound-mass-nan",
+        "avr-bound-avr-inf", "avr-bound-mass-inf", "cd-bound-avr-inf", "cd-bound-mass-inf",
     ],
 )
 def test_out_of_domain_arguments_raise(call):

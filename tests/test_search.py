@@ -149,6 +149,8 @@ def test_config_validation():
         SearchConfig(target_volume=-0.1, volume_tolerance=0.1)
     with pytest.raises(DomainError):
         SearchConfig(target_volume=math.nan, volume_tolerance=0.1)
+    with pytest.raises(DomainError, match="inf"):
+        SearchConfig(target_volume=math.inf, volume_tolerance=0.1)
     with pytest.raises(DomainError):
         SearchConfig(target_volume=0.1, volume_tolerance=math.inf)
     with pytest.raises(DomainError):
@@ -166,8 +168,14 @@ def test_config_validation():
         (WeightedInterval(1.0, ConstantDensity(1.0)), 0.0, [math.nan]),
         (WeightedInterval(1.0, ConstantDensity(1.0)), 0.0, []),
         (WeightedInterval(math.inf, MonomialDensity(1.0, 1.0)), 0.0, [0.5]),
+        (WeightedInterval(1.0, ConstantDensity(1.0)), math.inf, [0.5]),
+        (WeightedInterval(1.0, ConstantDensity(1.0)), 0.0, [math.inf]),
+        (WeightedInterval(math.inf, MonomialDensity(1.0, 1.0)), 1.0, [0.5, math.inf]),
     ],
-    ids=["avr-negative", "avr-nan", "v-negative", "v-nan", "no-volumes", "half-line-avr-zero"],
+    ids=[
+        "avr-negative", "avr-nan", "v-negative", "v-nan", "no-volumes", "half-line-avr-zero",
+        "avr-inf", "v-inf", "half-line-v-inf",
+    ],
 )
 def test_certify_bound_rejects_bad_arguments(space, avr_value, volumes):
     cfg = SearchConfig(target_volume=0.0, volume_tolerance=1e-9, grid_points=16)
@@ -214,6 +222,16 @@ def test_certify_bound_trivial_on_zero_avr():
     assert report.passed
     for row in report.rows:
         assert row.bound == 0.0
+
+
+def test_certify_slack_takes_max_h_over_the_whole_grid():
+    # h falls from 2 at x = 0 to 1 at x = 1, so its max sits on the grid's
+    # first point, which carries no left-end weight.
+    space = WeightedInterval(1.0, TabulatedDensity((0.0, 1.0), (2.0, 1.0)))
+    cfg = SearchConfig(target_volume=0.0, volume_tolerance=1e-9, grid_points=11)
+    report = certify_bound(space, 2.0, 0.0, [0.5], cfg)
+    gap = float(np.diff(_grid_and_measures(space, 1.0, 11)[1]).max())
+    assert report.rows[0].slack == gap * 2.0
 
 
 def naive_search(prefix, left_w, right_w, v, tau, components):
@@ -491,3 +509,42 @@ def test_join_matches_reference_sweep_on_tied_partners():
     h = PiecewiseMonomialDensity((1.0,), ((1.0, 2.0), (1.0, 0.0)))
     out = _assert_join_matches(WeightedInterval(2.0, h), 2.0, 81, 0.6, 0.1)
     assert out.best_set.components[0] == (0.0, 0.0)
+
+
+def _assert_matches_naive_and_reference(space, window, n, v, tau):
+    out = _assert_join_matches(space, window, n, v, tau)
+    xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
+    best, count = naive_search(prefix, left_w, right_w, v, tau, 2)
+    assert out.sets_examined == count
+    ends = tuple(e for comp in out.best_set.components for e in comp)
+    assert ends == tuple(float(xs[k]) for k in best[1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "b, window, n, v, tau, expected",
+    [
+        (1.5, 3.0, 8, 0.9112614985597599, 0.02863169629325866, ((0.0, 0.0), (0.4286, 1.7143))),
+        (2.0, 2.0, 9, 0.3168017015121583, 0.007683742651180248, ((0.0, 0.0), (1.0, 1.5))),
+    ],
+)
+def test_two_component_tie_at_least_sum_goes_to_least_first_interval(
+    b, window, n, v, tau, expected
+):
+    # h = x/b up to b, then 1: several first intervals tie at the least sum,
+    # and only the (content, endpoints) order picks among them.
+    space = WeightedInterval(3.0, PiecewiseMonomialDensity((b,), ((1.0 / b, 1.0), (1.0, 0.0))))
+    out = _assert_matches_naive_and_reference(space, window, n, v, tau)
+    assert np.allclose(out.best_set.components, expected, atol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "n, v, tau, x", [(22, 0.52, 0.06, 1.4285714285714284), (37, 0.9, 0.08, 1.0555555555555556)]
+)
+def test_two_component_partner_tie_goes_to_least_second_interval(n, v, tau, x):
+    # The space of the tied-partners test above, at sizes where the order of
+    # the ranks among the partners [x, 2] of content 1 decides the answer: an
+    # unstable sort of the contents reorders them.
+    h = PiecewiseMonomialDensity((1.0,), ((1.0, 2.0), (1.0, 0.0)))
+    out = _assert_matches_naive_and_reference(WeightedInterval(2.0, h), 2.0, n, v, tau)
+    assert out.best_set.components == ((0.0, 0.0), (x, 2.0))
