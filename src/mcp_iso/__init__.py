@@ -36,7 +36,7 @@ from .localization import (
     model_from_dict,
     verify_disintegration,
 )
-from .numerics import gamma, invert_monotone, unit_ball_volume
+from .numerics import invert_monotone, unit_ball_volume
 from .profile import (
     ProfileResult,
     avr_lower_bound,

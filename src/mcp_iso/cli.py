@@ -39,6 +39,8 @@ from .space import (
 # and OverflowError come from malformed numbers in JSON input and sweeps.
 _USAGE_ERRORS = (ValueError, TypeError, OverflowError, InfeasibleSearchError)
 
+_SEARCH_FIELDS = set("N avr volumes volume_tolerance grid_points max_components window".split())
+
 # The extremal set meets the bound exactly; its computed gap is rounding only.
 _SHARP_GAP_TOL = 1e-10
 
@@ -83,28 +85,21 @@ def _int_field(config: dict, key: str, default: int) -> int:
     return value
 
 
-def _fmt(value, precision: int) -> str:
-    # Non-finite floats come out as inf, -inf or nan.
-    return f"{value:.{precision}g}" if isinstance(value, float) else str(value)
-
-
 def _emit(headers: list[str], rows: list[list], fmt: str, precision: int) -> None:
+    # Each float is formatted once; non-finite ones come out as inf, -inf or nan.
+    spec = f".{precision}g"
+    cells = [[format(v, spec) if isinstance(v, float) else v for v in row] for row in rows]
     if fmt == "json":
-        records = []
-        for row in rows:
-            rec = {}
-            for key, value in zip(headers, row):
-                if isinstance(value, float):
-                    text = _fmt(value, precision)
-                    value = float(text) if math.isfinite(value) else text
-                rec[key] = value
-            records.append(rec)
-        sys.stdout.write(json.dumps(records, indent=2, sort_keys=False) + "\n")
+        records = [
+            {k: float(c) if isinstance(v, float) and math.isfinite(v) else c
+             for k, v, c in zip(headers, row, cell_row)}
+            for row, cell_row in zip(rows, cells)
+        ]
+        sys.stdout.write(json.dumps(records, indent=2) + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(headers)
-        for row in rows:
-            writer.writerow([_fmt(v, precision) for v in row])
+        writer.writerows(cells)
 
 
 def _set_to_text(best_set) -> str:
@@ -152,7 +147,7 @@ def _cmd_min_dimension(args):
 
 def _cmd_avr(args):
     space = space_from_dict(_load_json(args.space))
-    value, certified = avr(space, args.N, args.r_max)
+    value, certified = avr(space, args.N)
     return ["avr", "certified"], [[value, certified]], True
 
 
@@ -189,6 +184,8 @@ def _cmd_sharp(args):
 def _cmd_search(args):
     space = space_from_dict(_load_json(args.space))
     config = _load_json(args.config)
+    if unknown := sorted(set(config) - _SEARCH_FIELDS):
+        raise DomainError(f"unknown search config field {unknown[0]!r}")
     try:
         N = float(config["N"])
     except KeyError:
@@ -241,11 +238,18 @@ def _cmd_localize(args):
     return headers, rows, all_ordered
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors, in subcommands too, as DomainError: exit 1."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use; parsing
     leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcp-iso",
         description="Curvature-controlled isoperimetric bounds on weighted intervals",
     )
@@ -283,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avr", parents=[common], help="asymptotic volume ratio")
     p.add_argument("--space", required=True, metavar="FILE")
     p.add_argument("--N", type=float, required=True)
-    p.add_argument("--r-max", type=float, default=1e6, dest="r_max")
     p.set_defaults(func=_cmd_avr)
 
     p = sub.add_parser("bounds", parents=[common], help="boundary lower bounds")
@@ -314,12 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not (1 <= args.precision <= 17):
-        print("error: --precision must lie in [1, 17]", file=sys.stderr)
-        return 1
     try:
+        args = build_parser().parse_args(argv)
+        if not (1 <= args.precision <= 17):
+            raise DomainError("--precision must lie in [1, 17]")
         headers, rows, passed = args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

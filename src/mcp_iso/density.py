@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .numerics import require_dimension, unit_ball_volume
+from .numerics import require_dimension
+from .profile import avr_lower_bound, cone_coefficient, cone_radius
 
 __all__ = [
     "Density",
@@ -253,15 +254,10 @@ class SharpDensity(Density):
         _require_positive("avr", self.avr)
         _require_positive("mass", self.mass)
         require_dimension(self.N)
-        # Derived constants, kept out of the dataclass fields.
-        tail_coefficient = self.N * unit_ball_volume(self.N) * self.avr
-        object.__setattr__(self, "tail_coefficient", tail_coefficient)
-        object.__setattr__(self, "x_star", (self.mass / tail_coefficient) ** (1.0 / self.N))
-        object.__setattr__(
-            self,
-            "level",
-            tail_coefficient ** (1.0 / self.N) * self.mass ** ((self.N - 1.0) / self.N),
-        )
+        # Derived constants of the model cone, kept out of the dataclass fields.
+        object.__setattr__(self, "tail_coefficient", cone_coefficient(self.N, self.avr))
+        object.__setattr__(self, "x_star", cone_radius(self.N, self.avr, self.mass))
+        object.__setattr__(self, "level", avr_lower_bound(self.N, self.avr, self.mass))
 
     def _eval(self, xs):
         return np.where(xs <= self.x_star, self.level,

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: special functions and monotone inversion.
+"""Shared numerical kernels: dimension checks, the unit-ball volume and
+monotone inversion.
 
 Everything here is pure and deterministic; no global mutable state.
 """
@@ -11,7 +12,6 @@ from typing import Callable
 from .errors import BracketError, DomainError, PreconditionError
 
 __all__ = [
-    "gamma",
     "unit_ball_volume",
     "invert_monotone",
 ]
@@ -27,13 +27,6 @@ def require_dimension(N: float) -> float:
     return float(N)
 
 
-def gamma(x: float) -> float:
-    """Gamma function for positive real arguments."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"gamma requires a finite positive argument, got {x}")
-    return math.gamma(x)
-
-
 def unit_ball_volume(N: float) -> float:
     """Volume of the unit ball in dimension N, extended to real N > 0.
 
@@ -41,7 +34,7 @@ def unit_ball_volume(N: float) -> float:
     """
     if not (math.isfinite(N) and N > 0.0):
         raise DomainError(f"unit_ball_volume requires finite N > 0, got {N}")
-    return math.pi ** (N / 2.0) / gamma(N / 2.0 + 1.0)
+    return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
 
 
 def invert_monotone(

@@ -211,6 +211,16 @@ def expansion_leading_coefficient(N: float) -> float:
     return N ** (1.0 / N)
 
 
+def cone_coefficient(N: float, avr: float) -> float:
+    """Coefficient N omega_N avr of the model cone c x^(N-1) with volume ratio avr."""
+    return N * unit_ball_volume(N) * avr
+
+
+def cone_radius(N: float, avr: float, mass: float) -> float:
+    """Radius (mass / (N omega_N avr))^(1/N) of that cone's ball [0, r] of this mass."""
+    return (mass / cone_coefficient(N, avr)) ** (1.0 / N)
+
+
 def avr_lower_bound(N: float, avr: float, mass: float) -> float:
     """Boundary lower bound (N omega_N avr)^(1/N) * mass^((N-1)/N)."""
     N = require_dimension(N)
@@ -218,7 +228,7 @@ def avr_lower_bound(N: float, avr: float, mass: float) -> float:
         raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
     if avr == 0.0 or mass == 0.0:
         return 0.0
-    return (N * unit_ball_volume(N) * avr) ** (1.0 / N) * mass ** ((N - 1.0) / N)
+    return cone_coefficient(N, avr) ** (1.0 / N) * mass ** ((N - 1.0) / N)
 
 
 def cd_lower_bound(N: float, avr: float, mass: float) -> float:

@@ -3,7 +3,7 @@
 The search enumerates every union of at most max_components grid-aligned
 closed intervals whose measure falls inside the volume window, and reports
 the one of minimal boundary content.  It makes no claim below grid
-resolution; the discretization slack is reported explicitly.
+resolution; certify_bound reports the discretization slack of each row.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .density import SharpDensity
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import require_dimension, unit_ball_volume
-from .profile import avr_lower_bound
+from .numerics import require_dimension
+from .profile import avr_lower_bound, cone_radius
 from .space import IntervalUnion, WeightedInterval
 
 __all__ = [
@@ -71,8 +71,7 @@ def _resolve_window(space: WeightedInterval, cfg: SearchConfig) -> float:
     if isinstance(h, SharpDensity):
         # The extremal set and its competitors at comparable volume live well
         # inside four switch radii.
-        ref = max(cfg.target_volume, h.mass)
-        return 4.0 * (ref / h.tail_coefficient) ** (1.0 / h.N)
+        return 4.0 * cone_radius(h.N, h.avr, max(cfg.target_volume, h.mass))
     raise DomainError("searching a half-line space requires an explicit window")
 
 
@@ -254,7 +253,7 @@ def certify_bound(
         if cfg.window is None and not math.isfinite(space.D):
             if avr_value <= 0.0:
                 raise DomainError("half-line certification needs avr > 0 to size the window")
-            window = 4.0 * (v / (N * unit_ball_volume(N) * avr_value)) ** (1.0 / N)
+            window = 4.0 * cone_radius(N, avr_value, v)
         else:
             window = _resolve_window(space, cfg)
         _, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)

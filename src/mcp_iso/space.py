@@ -19,7 +19,7 @@ from .density import (
 )
 from .errors import DomainError, PreconditionError
 from .numerics import require_dimension, unit_ball_volume
-from .profile import avr_lower_bound
+from .profile import avr_lower_bound, cone_coefficient
 
 __all__ = [
     "WeightedInterval",
@@ -225,7 +225,7 @@ def avr(space: WeightedInterval, N: float, r_max: float = 1e6) -> AvrResult:
         c, p = tail
         gap = p - (N - 1.0)
         if abs(gap) <= 1e-12 * max(1.0, abs(p)):
-            return AvrResult(c / (N * unit_ball_volume(N)), True)
+            return AvrResult(c / cone_coefficient(N, 1.0), True)
         if gap < 0.0:
             return AvrResult(0.0, True)
         return AvrResult(math.inf, True)

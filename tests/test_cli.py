@@ -263,6 +263,11 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("search",), search_files(volumes={"sweep": "0.1:1e400:3"})),
         (("bounds", "--N", "2", "--avr", "inf", "--mass", "1"), {}),
         (("bounds", "--N", "2", "--avr", "1", "--mass", "inf"), {}),
+        (("profile", "--N", "x", "--D", "1", "--v", "0.5"), {}),
+        (("profile", "--N", "2", "--v", "0.5"), {}),
+        (("frobnicate",), {}),
+        (("avr", "--N", "2", "--r-max", "5"), {"--space": SHARP_SPACE}),
+        (("search",), search_files(grid_pionts=64)),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -274,7 +279,8 @@ def run_with_files(capsys, tmp_path, argv, files):
         "volume-tolerance-inf", "volume-tolerance-nan", "avr-nan", "volume-nan",
         "volume-inf", "sweep-inf-endpoint", "log-sweep-inf-endpoint", "expansion-v-max-inf",
         "localize-sweep-inf-endpoint", "volumes-sweep-inf-endpoint", "bounds-avr-inf",
-        "bounds-mass-inf",
+        "bounds-mass-inf", "flag-not-a-number", "flag-missing", "unknown-subcommand",
+        "avr-r-max", "search-unknown-field",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -303,6 +309,20 @@ def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, n
     code, _, err = run_with_files(capsys, tmp_path, argv, files)
     assert code == 1
     assert named in err
+
+
+def test_unknown_search_field_is_named(capsys, tmp_path):
+    code, _, err = run_with_files(capsys, tmp_path, ("search",), search_files(grid_pionts=64))
+    assert code == 1
+    assert "'grid_pionts'" in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["profile", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mcp-iso")
 
 
 def test_byte_stability(capsys, tmp_path):

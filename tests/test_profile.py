@@ -17,6 +17,7 @@ from mcp_iso import (
     profile_mcp,
     unit_ball_volume,
 )
+from mcp_iso.profile import cone_coefficient, cone_radius
 
 
 def quadrature_f(n, d, x):
@@ -278,3 +279,26 @@ def test_unit_ball_volume_reexport_is_consistent():
     n = 2.0
     a = 1.0 / (n * unit_ball_volume(n))
     assert avr_lower_bound(n, a, 1.0) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_cone_constants_match_mpmath():
+    # The model cone h = N omega_N avr x^(N-1): its coefficient, the radius
+    # of its ball of a given mass, and the bound, against 50-digit mpmath.
+    def rel(got, want):
+        return abs(mpmath.mpf(got) - want) / abs(want)
+
+    worst = [0.0, 0.0, 0.0]
+    with mpmath.workdps(50):
+        for n in (1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 200.0, 340.0):
+            nm = mpmath.mpf(n)
+            omega = mpmath.pi ** (nm / 2) / mpmath.gamma(nm / 2 + 1)
+            for avr in (1e-8, 3.7e-3, 1.0, 42.0, 1e8):
+                coefficient = nm * omega * mpmath.mpf(avr)
+                worst[0] = max(worst[0], rel(cone_coefficient(n, avr), coefficient))
+                for mass in (1e-8, 0.25, 1.0, 6.1e3, 1e8):
+                    mm = mpmath.mpf(mass)
+                    radius = (mm / coefficient) ** (1 / nm)
+                    bound = coefficient ** (1 / nm) * mm ** ((nm - 1) / nm)
+                    worst[1] = max(worst[1], rel(cone_radius(n, avr, mass), radius))
+                    worst[2] = max(worst[2], rel(avr_lower_bound(n, avr, mass), bound))
+    assert max(worst) <= 1e-13, worst

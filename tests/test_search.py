@@ -22,7 +22,8 @@ from mcp_iso import (
     sharp_space,
     unit_ball_volume,
 )
-from mcp_iso.search import _grid_and_measures
+from mcp_iso.profile import cone_coefficient, cone_radius
+from mcp_iso.search import _grid_and_measures, _resolve_window
 
 
 def unit_space():
@@ -548,3 +549,17 @@ def test_two_component_partner_tie_goes_to_least_second_interval(n, v, tau, x):
     h = PiecewiseMonomialDensity((1.0,), ((1.0, 2.0), (1.0, 0.0)))
     out = _assert_matches_naive_and_reference(WeightedInterval(2.0, h), 2.0, n, v, tau)
     assert out.best_set.components == ((0.0, 0.0), (x, 2.0))
+
+
+@pytest.mark.parametrize("n, avr, mass", [(1.01, 1e-6, 3.0), (2.0, 0.2, 1.0), (7.5, 40.0, 1e-4)])
+def test_cone_constants_have_one_home(n, avr, mass):
+    # The sharp density and the half-line window take the model cone's
+    # constants from profile.py, bit for bit.
+    h = SharpDensity(avr, mass, n)
+    assert h.tail_coefficient == cone_coefficient(n, avr)
+    assert h.x_star == cone_radius(n, avr, mass)
+    assert h.level == avr_lower_bound(n, avr, mass)
+    space = WeightedInterval(math.inf, h)
+    for v in (0.5 * mass, 2.0 * mass):
+        window = _resolve_window(space, SearchConfig(target_volume=v, volume_tolerance=1e-9))
+        assert window == 4.0 * cone_radius(n, avr, max(v, mass))
