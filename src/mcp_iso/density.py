@@ -41,6 +41,8 @@ PASS_EXACT = "pass_exact"
 PASS_SAMPLED = "pass_sampled"
 FAIL = "fail"
 
+# Relative disagreement of neighbouring pieces at a breakpoint that counts
+# as rounding, not a jump.
 _CONTINUITY_RTOL = 1e-12
 # A generous bound on how far rounding moves a quotient comparison
 # h1/w1 vs h0/w0 from its cross-multiplied form h1*w0 vs h0*w1, as a share
@@ -103,32 +105,70 @@ def _require_positive(name: str, value: float) -> float:
     return float(value)
 
 
+class _PowerPieces(Density):
+    """Monomial pieces (c, p), h = c * x^p, in _pieces, set once by each
+    family's __post_init__.  Piece k covers (b_{k-1}, b_k] for the _breaks
+    b_k, with b_{-1} = 0 and the last piece running to infinity, so x at a
+    breakpoint takes the left piece.  A flat piece (p = 0) is the constant c.
+    """
+
+    _breaks: tuple[float, ...] = ()
+
+    def _eval(self, xs):
+        *left, (c, p) = self._pieces
+        if not left:
+            return np.full(xs.shape, c) if p == 0.0 else c * xs ** p
+        # Right to left.  Each piece is evaluated on all of xs and its values
+        # outside its own span dropped, so their overflow or division by
+        # zero is no error.
+        with np.errstate(divide="ignore", over="ignore"):
+            hv = c if p == 0.0 else c * xs ** p
+            for (c, p), b in zip(reversed(left), reversed(self._breaks)):
+                hv = np.where(xs <= b, c if p == 0.0 else c * xs ** p, hv)
+        return hv
+
+    def _integral(self, s, t):
+        bounds = (0.0,) + self._breaks + (math.inf,)
+        total = None
+        for (c, p), lo, hi in zip(self._pieces, bounds, bounds[1:]):
+            # [a, b] is the part of [s, t] inside this piece, empty as b = a.
+            a = max(s, lo)
+            b = np.maximum(t if hi == math.inf else np.minimum(t, hi), a)
+            q = p + 1.0
+            if p == 0.0:
+                part = c * (b - a)
+            elif q == 0.0:  # only after the first piece, where a >= lo > 0
+                part = c * np.log(b / a)
+            else:
+                part = c * (b ** q - a ** q) / q
+            total = part if total is None else total + part
+        return total
+
+    def tail(self):
+        return self._pieces[-1]
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return self._breaks
+
+
 @dataclass(frozen=True)
-class ConstantDensity(Density):
+class ConstantDensity(_PowerPieces):
     c: float
     kind = "constant"
 
     def __post_init__(self):
         _require_positive("constant level c", self.c)
-
-    def _eval(self, xs):
-        return np.full(xs.shape, self.c)
-
-    def _integral(self, s, t):
-        return self.c * (t - s)
+        object.__setattr__(self, "_pieces", ((self.c, 0.0),))
 
     def scaled(self, factor: float) -> "ConstantDensity":
         return ConstantDensity(self.c * factor)
-
-    def tail(self):
-        return (self.c, 0.0)
 
     def to_dict(self) -> dict:
         return {"type": "constant", "c": self.c}
 
 
 @dataclass(frozen=True)
-class MonomialDensity(Density):
+class MonomialDensity(_PowerPieces):
     """h(x) = c * x^p with c > 0 and p >= 0 (continuity at the origin)."""
 
     c: float
@@ -139,26 +179,17 @@ class MonomialDensity(Density):
         _require_positive("monomial coefficient c", self.c)
         if not (math.isfinite(self.p) and self.p >= 0.0):
             raise DomainError(f"monomial exponent must be >= 0, got {self.p}")
-
-    def _eval(self, xs):
-        return self.c * xs ** self.p
-
-    def _integral(self, s, t):
-        q = self.p + 1.0
-        return self.c * (t ** q - s ** q) / q
+        object.__setattr__(self, "_pieces", ((self.c, self.p),))
 
     def scaled(self, factor: float) -> "MonomialDensity":
         return MonomialDensity(self.c * factor, self.p)
-
-    def tail(self):
-        return (self.c, self.p)
 
     def to_dict(self) -> dict:
         return {"type": "monomial", "c": self.c, "p": self.p}
 
 
 @dataclass(frozen=True)
-class PiecewiseMonomialDensity(Density):
+class PiecewiseMonomialDensity(_PowerPieces):
     """Monomial pieces glued continuously at increasing breakpoints.
 
     pieces[i] = (c, p) applies on [b_{i-1}, b_i] with b_0 = 0 and the last
@@ -195,37 +226,13 @@ class PiecewiseMonomialDensity(Density):
             right = c1 * b ** p1
             if abs(left - right) > _CONTINUITY_RTOL * max(abs(left), abs(right), 1.0):
                 raise DomainError(f"pieces disagree at breakpoint {b}: {left} vs {right}")
-
-    def _eval(self, xs):
-        # Piece k covers (b_{k-1}, b_k]: x at a breakpoint takes the left piece.
-        k = np.searchsorted(self.break_values, xs, side="left")
-        c, p = np.asarray(self.pieces).T
-        return c[k] * xs ** p[k]
-
-    def _integral(self, s, t):
-        bounds = (0.0,) + self.break_values + (math.inf,)
-        total = np.zeros(t.shape)
-        for (c, p), lo, hi in zip(self.pieces, bounds, bounds[1:]):
-            # [a, b] is the part of [s, t] inside this piece, empty as b = a.
-            a = max(s, lo)
-            b = np.maximum(np.minimum(t, hi), a)
-            q = p + 1.0
-            if q == 0.0:  # only after the first piece, where a >= lo > 0
-                total += c * np.log(b / a)
-            else:
-                total += c * (b ** q - a ** q) / q
-        return total
+        object.__setattr__(self, "_pieces", pcs)
+        object.__setattr__(self, "_breaks", bps)
 
     def scaled(self, factor: float) -> "PiecewiseMonomialDensity":
         return PiecewiseMonomialDensity(
             self.break_values, tuple((c * factor, p) for c, p in self.pieces)
         )
-
-    def tail(self):
-        return self.pieces[-1]
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.break_values
 
     def to_dict(self) -> dict:
         return {
@@ -236,7 +243,7 @@ class PiecewiseMonomialDensity(Density):
 
 
 @dataclass(frozen=True)
-class SharpDensity(Density):
+class SharpDensity(_PowerPieces):
     """The extremal half-line weight attaining equality in the volume-growth
     isoperimetric bound: constant up to x_star, then a pure power.
 
@@ -258,30 +265,14 @@ class SharpDensity(Density):
         object.__setattr__(self, "tail_coefficient", cone_coefficient(self.N, self.avr))
         object.__setattr__(self, "x_star", cone_radius(self.N, self.avr, self.mass))
         object.__setattr__(self, "level", avr_lower_bound(self.N, self.avr, self.mass))
-
-    def _eval(self, xs):
-        return np.where(xs <= self.x_star, self.level,
-                        self.tail_coefficient * xs ** (self.N - 1.0))
-
-    def _integral(self, s, t):
-        # The flat part of [s, t], then the power part; each is empty as b = a.
-        a = max(s, 0.0)
-        b = np.maximum(np.minimum(t, self.x_star), a)
-        total = self.level * (b - a)
-        a = max(s, self.x_star)
-        b = np.maximum(t, a)
-        return total + self.tail_coefficient * (b ** self.N - a ** self.N) / self.N
+        pieces = ((self.level, 0.0), (self.tail_coefficient, self.N - 1.0))
+        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_breaks", (self.x_star,))
 
     def scaled(self, factor: float) -> "SharpDensity":
         # Scaling stays in the family: both avr and mass pick up the factor
         # while the switch point is unchanged.
         return SharpDensity(self.avr * factor, self.mass * factor, self.N)
-
-    def tail(self):
-        return (self.tail_coefficient, self.N - 1.0)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self.x_star,)
 
     def to_dict(self) -> dict:
         return {"type": "paper_sharp", "avr": self.avr, "mass": self.mass, "N": self.N}
@@ -323,8 +314,10 @@ class TabulatedDensity(Density):
         return self.grid[-1]
 
     def _eval(self, xs):
-        if np.any((xs < self.grid[0]) | (xs > self.grid[-1])):
-            raise DomainError(f"tabulated density not defined at {xs}")
+        outside = (xs < self.grid[0]) | (xs > self.grid[-1])
+        if outside.any():
+            raise DomainError(f"tabulated density not defined at {xs[outside][0]}, "
+                              f"outside its grid [{self.grid[0]}, {self.grid[-1]}]")
         return np.interp(xs, self._grid, self._values)
 
     def _integral(self, s, t):
@@ -493,22 +486,21 @@ def _ratio_check(h: Density, D: float, grid_points: int) -> Callable[[float], Ve
     """Sample h once; the result maps N to the Verdict of check_mcp_density."""
     if grid_points < 2:
         raise DomainError(f"grid_points must be >= 2, got {grid_points}")
+    # Pairs inside the last piece reduce to its exponent, so on the half line
+    # the pair (b, 2b) at the last breakpoint (b = 1 with none) checks the tail.
+    b = (h._breaks or (1.0,))[-1] if isinstance(h, _PowerPieces) else None
+    tail = [np.array([b, 2.0 * b])] if b is not None and math.isinf(D) else []
     if isinstance(h, (ConstantDensity, MonomialDensity, SharpDensity)):
         # Power against power: the violation factor grows with x1/x0, so one
-        # pair decides, at ratio 2 (below which _RATIO_RTOL calls it rounding
-        # dust) or anchored at the sharp weight's switch point.
-        x0, x1 = (1.0, 2.0) if math.isinf(D) else (D / 4.0, D / 2.0)
-        if isinstance(h, SharpDensity) and D > h.x_star:
-            x0, x1 = h.x_star, (2.0 * h.x_star if math.isinf(D) else D)
-        sets, used, status = [np.array([x0, x1])], 0, PASS_EXACT
+        # pair decides: the tail pair, or on [0, D] the pair from the sharp
+        # weight's switch point to D, else (D/4, D/2) at ratio 2 (below which
+        # _RATIO_RTOL calls it rounding dust).
+        pair = [b, D] if h._breaks and D > b else [D / 4.0, D / 2.0]
+        sets, used, status = tail or [np.array(pair)], 0, PASS_EXACT
     else:
+        # The samples cover the pairs that straddle the last breakpoint.
         xs = _sample_grid(h, D, grid_points)
-        sets, used, status = [xs], len(xs), PASS_SAMPLED
-        if math.isinf(D) and isinstance(h, PiecewiseMonomialDensity):
-            # Pairs inside the last piece reduce to its exponent; pairs that
-            # straddle the last breakpoint are covered by the sampled window.
-            b = h.break_values[-1] if h.break_values else 1.0
-            sets.append(np.array([b, 2.0 * b]))
+        sets, used, status = [xs] + tail, len(xs), PASS_SAMPLED
     samples = [(xs, h(xs)) for xs in sets]
 
     def verdict(N: float) -> Verdict:
@@ -540,7 +532,7 @@ def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) ->
     N = require_dimension(N)
     verdict = _ratio_check(h, D, grid_points)(N)
     if (verdict.status == PASS_SAMPLED and math.isinf(D)
-            and not isinstance(h, PiecewiseMonomialDensity)):
+            and not isinstance(h, _PowerPieces)):
         raise DomainError(
             "a tabulated density has no defined tail; it cannot certify "
             f"behaviour on [0, inf) beyond its grid end {h.support_end}"

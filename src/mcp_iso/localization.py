@@ -35,6 +35,8 @@ __all__ = [
 
 # Rounding slack allowed in each inequality of the chain.
 _CHAIN_SLACK = 1e-12
+# Distance from 1 of a normalized needle's mass that counts as rounding.
+_NEEDLE_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,10 @@ class RadialModel:
     ray_length: float  # math.inf for complete rays
 
     def __post_init__(self):
-        if not self.total_angle > 0.0:
-            raise DomainError(f"total_angle must be positive, got {self.total_angle}")
+        if not (math.isfinite(self.total_angle) and self.total_angle > 0.0):
+            raise DomainError(
+                f"total_angle must be positive and finite, got {self.total_angle}"
+            )
         require_dimension(self.N)
         if not self.ray_length > 0.0:
             raise DomainError(f"ray_length must be positive, got {self.ray_length}")
@@ -96,7 +100,7 @@ class TruncatedNeedle:
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise DomainError(f"truncation length must be positive and finite, got {self.T}")
         mass = self.normalized_density.integral(0.0, self.T)
-        if abs(mass - 1.0) > 1e-10:
+        if abs(mass - 1.0) > _NEEDLE_MASS_TOL:
             raise DomainError(f"normalized ray density has mass {mass}, expected 1")
 
     def as_space(self) -> WeightedInterval:

@@ -39,6 +39,8 @@ __all__ = [
 
 # Relative rise of m(B_r) / r^N between sampled radii that counts as rounding.
 _RATIO_RISE_RTOL = 1e-12
+# Relative distance of a tail exponent from N - 1 at which avr takes it as N - 1.
+_TAIL_MATCH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,8 @@ def minkowski_content_estimator(
     """
     _require_subset(space, subset)
     eps_list = [float(e) for e in eps_sequence]
-    if not eps_list or any(e <= 0.0 for e in eps_list):
-        raise PreconditionError("eps_sequence must be non-empty and positive")
+    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
+        raise PreconditionError("eps_sequence must be non-empty, positive and finite")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise PreconditionError("eps_sequence must be strictly decreasing")
     comps = subset.components
@@ -224,7 +226,7 @@ def avr(space: WeightedInterval, N: float, r_max: float = 1e6) -> AvrResult:
     if tail is not None:
         c, p = tail
         gap = p - (N - 1.0)
-        if abs(gap) <= 1e-12 * max(1.0, abs(p)):
+        if abs(gap) <= _TAIL_MATCH_RTOL * max(1.0, abs(p)):
             return AvrResult(c / cone_coefficient(N, 1.0), True)
         if gap < 0.0:
             return AvrResult(0.0, True)

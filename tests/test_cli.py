@@ -207,6 +207,7 @@ def test_missing_field_diagnostics(capsys, tmp_path):
 SHARP_SPACE = {"D": "inf", "density": {"type": "paper_sharp", "avr": 0.2, "mass": 1.0, "N": 2.0}}
 PLANE_MODEL = {"theta": 2.0 * math.pi, "weight": {"type": "monomial", "c": 1.0, "p": 1.0},
                "N": 2.0, "ray_length": "inf"}
+INFINITE_ANGLE_MODEL = {**PLANE_MODEL, "theta": "1e400"}
 
 
 def search_files(**config):
@@ -268,6 +269,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("frobnicate",), {}),
         (("avr", "--N", "2", "--r-max", "5"), {"--space": SHARP_SPACE}),
         (("search",), search_files(grid_pionts=64)),
+        (("localize", "--r", "1", "--R", "8:400:3"), {"--model": INFINITE_ANGLE_MODEL}),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -280,7 +282,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         "volume-inf", "sweep-inf-endpoint", "log-sweep-inf-endpoint", "expansion-v-max-inf",
         "localize-sweep-inf-endpoint", "volumes-sweep-inf-endpoint", "bounds-avr-inf",
         "bounds-mass-inf", "flag-not-a-number", "flag-missing", "unknown-subcommand",
-        "avr-r-max", "search-unknown-field",
+        "avr-r-max", "search-unknown-field", "localize-theta-inf",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -300,8 +302,11 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
         (("search",), search_files(volumes={"sweep": "nan:1:3"}), "'nan:1:3'"),
         (("expansion", "--N", "2", "--v-min", "0.01", "--v-max", "inf"), {}, "--v-max"),
         (("search",), search_files(volumes=["inf"]), "volume must be non-negative and finite"),
+        (("localize", "--r", "1", "--R", "8:400:3"), {"--model": INFINITE_ANGLE_MODEL},
+         "total_angle"),
     ],
-    ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion", "search-volume"],
+    ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion", "search-volume",
+         "localize-theta"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
     # A non-finite endpoint or volume is reported as given, not as the NaN

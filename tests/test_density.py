@@ -117,6 +117,41 @@ def test_tabulated_integral_is_exact_trapezoid():
     assert h.integral(s, t) == pytest.approx(expected, rel=1e-13)
 
 
+def test_tabulated_error_names_the_first_point_outside():
+    h = TabulatedDensity((0.0, 1.0, 2.0), (1.0, 1.5, 1.0))
+    with pytest.raises(DomainError) as err:
+        h(np.array([0.5, 2.5, 3.0, -1.0]))
+    assert str(err.value) == "tabulated density not defined at 2.5, outside its grid [0.0, 2.0]"
+    with pytest.raises(DomainError, match=r"not defined at -1\.0, "):
+        h(-1.0)
+
+
+def _breakpoint_cases():
+    """Per power family: the density and, at each breakpoint, the value of
+    the piece on its left.  The piecewise pieces disagree at each
+    breakpoint by 2e-13 relative (inside the continuity tolerance), and
+    every value is exact, so only the left piece gives these bytes; the
+    sharp weight's tail at x_star rounds away from its level."""
+    sharp = SharpDensity(0.5, 2.0, 3.0)
+    level = 2.0 * (1.0 + 2e-13)
+    piecewise = PiecewiseMonomialDensity((2.0, 4.0), ((1.0, 1.0), (level, 0.0), (8.0, -1.0)))
+    return {
+        "constant": (ConstantDensity(1.7), ()),
+        "monomial": (MonomialDensity(1.3, 0.5), ()),
+        "sharp": (sharp, ((sharp.x_star, sharp.level),)),
+        "piecewise": (piecewise, ((2.0, 2.0), (4.0, level))),
+    }
+
+
+@pytest.mark.parametrize("family", ["constant", "monomial", "sharp", "piecewise"])
+def test_breakpoints_take_the_left_piece(family):
+    h, lefts = _breakpoint_cases()[family]
+    assert h.breakpoints() == tuple(b for b, _ in lefts)
+    for b, left in lefts:
+        assert h(b) == left
+        assert h(np.array([0.5 * b, b, 2.0 * b]))[1] == left
+
+
 def _family_cases():
     """Per family: the density, its weight in mpmath from the parameters,
     the points where that weight has a kink, and the right end of a grid."""

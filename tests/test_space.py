@@ -148,6 +148,9 @@ def test_estimator_preconditions():
         minkowski_content_estimator(space, IntervalUnion.of([(0.2, 0.4)]), (1e-4, 1e-3))
     with pytest.raises(PreconditionError):
         minkowski_content_estimator(space, IntervalUnion.of([(0.2, 0.4)]), ())
+    for eps in ((math.nan,), (math.inf, 1e-3)):
+        with pytest.raises(PreconditionError):
+            minkowski_content_estimator(space, IntervalUnion.of([(0.2, 0.4)]), eps)
 
 
 def random_corpus(count, seed=20240917):
