@@ -64,8 +64,11 @@ def _parse_sweep(text: str, log: bool) -> list[float]:
         if a <= 0 or b <= 0:
             raise DomainError("log sweeps need positive endpoints")
         la, lb = math.log(a), math.log(b)
-        return [math.exp(la + (lb - la) * k / (n - 1)) for k in range(n)]
-    return [a + (b - a) * k / (n - 1) for k in range(n)]
+        inner = [math.exp(la + (lb - la) * k / (n - 1)) for k in range(1, n - 1)]
+    else:
+        inner = [a + (b - a) * k / (n - 1) for k in range(1, n - 1)]
+    # The endpoints are a and b exactly; exp(log a) and a + (b - a) can miss by an ulp.
+    return [a, *inner, b]
 
 
 def _load_json(path: str) -> dict:
@@ -76,13 +79,6 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}")
-
-
-def _int_field(config: dict, key: str, default: int) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"search config field '{key}' must be an integer, got {value!r}")
-    return value
 
 
 def _emit(headers: list[str], rows: list[list], fmt: str, precision: int) -> None:
@@ -203,8 +199,8 @@ def _cmd_search(args):
     cfg = search_mod.SearchConfig(
         target_volume=0.0,
         volume_tolerance=float(config.get("volume_tolerance", 1e-9)),
-        grid_points=_int_field(config, "grid_points", 512),
-        max_components=_int_field(config, "max_components", 2),
+        grid_points=config.get("grid_points", 512),
+        max_components=config.get("max_components", 2),
         window=float(config["window"]) if "window" in config else None,
     )
     report = search_mod.certify_bound(space, N, avr_value, volumes, cfg)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import require_dimension
+from .numerics import require_count, require_dimension
 from .profile import avr_lower_bound, cone_coefficient, cone_radius
 
 __all__ = [
@@ -96,7 +96,10 @@ class Density:
     support_end: float = math.inf
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """JSON form: the family's type, then its dataclass fields in order,
+        tuples as lists; density_from_dict reads it back."""
+        data = {"type": self.kind} | {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -163,9 +166,6 @@ class ConstantDensity(_PowerPieces):
     def scaled(self, factor: float) -> "ConstantDensity":
         return ConstantDensity(self.c * factor)
 
-    def to_dict(self) -> dict:
-        return {"type": "constant", "c": self.c}
-
 
 @dataclass(frozen=True)
 class MonomialDensity(_PowerPieces):
@@ -183,9 +183,6 @@ class MonomialDensity(_PowerPieces):
 
     def scaled(self, factor: float) -> "MonomialDensity":
         return MonomialDensity(self.c * factor, self.p)
-
-    def to_dict(self) -> dict:
-        return {"type": "monomial", "c": self.c, "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -274,9 +271,6 @@ class SharpDensity(_PowerPieces):
         # while the switch point is unchanged.
         return SharpDensity(self.avr * factor, self.mass * factor, self.N)
 
-    def to_dict(self) -> dict:
-        return {"type": "paper_sharp", "avr": self.avr, "mass": self.mass, "N": self.N}
-
 
 @dataclass(frozen=True)
 class TabulatedDensity(Density):
@@ -314,7 +308,7 @@ class TabulatedDensity(Density):
         return self.grid[-1]
 
     def _eval(self, xs):
-        outside = (xs < self.grid[0]) | (xs > self.grid[-1])
+        outside = ~((xs >= self.grid[0]) & (xs <= self.grid[-1]))  # NaN included
         if outside.any():
             raise DomainError(f"tabulated density not defined at {xs[outside][0]}, "
                               f"outside its grid [{self.grid[0]}, {self.grid[-1]}]")
@@ -323,15 +317,14 @@ class TabulatedDensity(Density):
     def _integral(self, s, t):
         # Exact for the piecewise-linear interpolant: trapezoids from s over
         # the table nodes above it, summed left to right, then the piece from
-        # the last knot below t to t.
-        if s < self.grid[0] or np.any(t > self.grid[-1]):
-            raise DomainError("integration range escapes the tabulated grid")
+        # the last knot below t to t.  s and t go through _eval, which refuses
+        # a point outside the grid.
         a = bisect.bisect_right(self.grid, s)
         knots = np.concatenate([[s], self._grid[a:]])
-        kv = np.interp(knots, self._grid, self._values)
+        kv = self._eval(knots)
         run = np.concatenate([[0.0], np.cumsum(0.5 * (kv[:-1] + kv[1:]) * np.diff(knots))])
         m = np.maximum(np.searchsorted(self._grid, t, side="left") - a, 0)
-        last = 0.5 * (kv[m] + np.interp(t, self._grid, self._values)) * (t - knots[m])
+        last = 0.5 * (kv[m] + self._eval(t)) * (t - knots[m])
         return np.where(t > s, run[m] + last, 0.0)
 
     def scaled(self, factor: float) -> "TabulatedDensity":
@@ -343,8 +336,10 @@ class TabulatedDensity(Density):
     def breakpoints(self) -> tuple[float, ...]:
         return self.grid[1:-1]
 
-    def to_dict(self) -> dict:
-        return {"type": "tabulated", "grid": list(self.grid), "values": list(self.values)}
+
+_FAMILIES = (
+    ConstantDensity, MonomialDensity, PiecewiseMonomialDensity, SharpDensity, TabulatedDensity,
+)
 
 
 def density_from_dict(data: dict) -> Density:
@@ -353,23 +348,20 @@ def density_from_dict(data: dict) -> Density:
         kind = data["type"]
     except (KeyError, TypeError):
         raise DomainError("density descriptor must be an object with a 'type' field")
+    family = next((cls for cls in _FAMILIES if cls.kind == kind), None)
+    if family is None:
+        raise DomainError(f"unknown density type '{kind}'")
     try:
-        if kind == "constant":
-            return ConstantDensity(float(data["c"]))
-        if kind == "monomial":
-            return MonomialDensity(float(data["c"]), float(data["p"]))
-        if kind == "piecewise_monomial":
+        if family is PiecewiseMonomialDensity:
             return PiecewiseMonomialDensity(
                 tuple(float(b) for b in data["breakpoints"]),
                 tuple((float(p["c"]), float(p["p"])) for p in data["pieces"]),
             )
-        if kind == "paper_sharp":
-            return SharpDensity(float(data["avr"]), float(data["mass"]), float(data["N"]))
-        if kind == "tabulated":
-            return TabulatedDensity(tuple(data["grid"]), tuple(data["values"]))
+        # The inverse of Density.to_dict: arrays become tuples, other values floats.
+        values = (data[f.name] for f in fields(family))
+        return family(*(tuple(v) if isinstance(v, list) else float(v) for v in values))
     except KeyError as exc:
         raise DomainError(f"density descriptor of type '{kind}' is missing field {exc}")
-    raise DomainError(f"unknown density type '{kind}'")
 
 
 @dataclass(frozen=True)
@@ -484,8 +476,7 @@ def _sampled_witness(
 
 def _ratio_check(h: Density, D: float, grid_points: int) -> Callable[[float], Verdict]:
     """Sample h once; the result maps N to the Verdict of check_mcp_density."""
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
+    require_count("grid_points", grid_points, 2)
     # Pairs inside the last piece reduce to its exponent, so on the half line
     # the pair (b, 2b) at the last breakpoint (b = 1 with none) checks the tail.
     b = (h._breaks or (1.0,))[-1] if isinstance(h, _PowerPieces) else None

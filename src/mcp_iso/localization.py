@@ -33,7 +33,8 @@ __all__ = [
     "model_from_dict",
 ]
 
-# Rounding slack allowed in each inequality of the chain.
+# Rounding slack allowed in each inequality lhs >= rhs of the chain, relative
+# to max(1, |lhs|, |rhs|): the rounding of the values grows with them.
 _CHAIN_SLACK = 1e-12
 # Distance from 1 of a normalized needle's mass that counts as rounding.
 _NEEDLE_MASS_TOL = 1e-10
@@ -148,11 +149,12 @@ class ChainReport:
     def ordered(self) -> bool:
         """Chain inequalities hold: m_plus >= needle_integral >=
         scaled_profile_bound, and m_plus dominates the limit bound."""
-        return (
-            self.m_plus >= self.needle_integral - _CHAIN_SLACK
-            and self.needle_integral >= self.scaled_profile_bound - _CHAIN_SLACK
-            and self.m_plus >= self.avr_bound - _CHAIN_SLACK
-        )
+        pairs = [
+            (self.m_plus, self.needle_integral),
+            (self.needle_integral, self.scaled_profile_bound),
+            (self.m_plus, self.avr_bound),
+        ]
+        return all(lhs >= rhs - _CHAIN_SLACK * max(1.0, abs(lhs), abs(rhs)) for lhs, rhs in pairs)
 
 
 def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainReport:

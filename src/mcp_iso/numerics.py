@@ -1,5 +1,5 @@
-"""Shared numerical kernels: dimension checks, the unit-ball volume and
-monotone inversion.
+"""Shared numerical kernels: dimension and count checks, the unit-ball volume
+and monotone inversion.
 
 Everything here is pure and deterministic; no global mutable state.
 """
@@ -7,6 +7,7 @@ Everything here is pure and deterministic; no global mutable state.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 from .errors import BracketError, DomainError, PreconditionError
@@ -25,6 +26,13 @@ def require_dimension(N: float) -> float:
     if not (math.isfinite(N) and N > 1.0):
         raise DomainError(f"dimension parameter must be finite and > 1, got {N}")
     return float(N)
+
+
+def require_count(name: str, value: int, low: int) -> int:
+    """Validate an integer parameter >= low: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def unit_ball_volume(N: float) -> float:

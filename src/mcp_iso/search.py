@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import SharpDensity
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import require_dimension
+from .numerics import require_count, require_dimension
 from .profile import avr_lower_bound, cone_radius
 from .space import IntervalUnion, WeightedInterval
 
@@ -39,9 +39,8 @@ class SearchConfig:
     window: Optional[float] = None  # right end of the search window; default [0, D]
 
     def __post_init__(self):
-        if self.grid_points < 2:
-            raise DomainError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.max_components not in (1, 2):
+        require_count("grid_points", self.grid_points, 2)
+        if require_count("max_components", self.max_components, 1) > 2:
             raise DomainError(f"max_components must be 1 or 2, got {self.max_components}")
         if not 0.0 < self.volume_tolerance < math.inf:
             raise DomainError("volume_tolerance must be positive and finite")

@@ -255,6 +255,6 @@ def sharp_space(avr_value: float, mass: float, N: float) -> tuple[WeightedInterv
 
 
 def verify_sharpness(avr_value: float, mass: float, N: float) -> float:
-    """Boundary content of the extremal set minus the lower bound; ~0."""
+    """Boundary content of the extremal set minus the lower bound: 0.0 by construction."""
     space, extremal = sharp_space(avr_value, mass, N)
     return minkowski_content(space, extremal) - avr_lower_bound(N, avr_value, mass)

@@ -322,6 +322,25 @@ def test_unknown_search_field_is_named(capsys, tmp_path):
     assert "'grid_pionts'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, files, column, ends",
+    [
+        # exp(log 400) is 399.9999999999999, which r <= R/4 refuses for r = 100.
+        (("localize", "--r", "100", "--R", "400:4000:3", "--log"), {"--model": PLANE_MODEL},
+         0, ("400", "4000")),
+        # 0.2 + (0.9 - 0.2) is 0.8999999999999999.
+        (("profile", "--N", "2", "--D", "1", "--v", "0.2:0.9:3", "--precision", "17"), {},
+         2, ("0.20000000000000001", "0.90000000000000002")),
+    ],
+    ids=["log", "linear"],
+)
+def test_sweeps_end_exactly_at_their_endpoints(capsys, tmp_path, argv, files, column, ends):
+    code, out, _ = run_with_files(capsys, tmp_path, argv, files)
+    assert code == 0
+    values = [line.split(",")[column] for line in out.splitlines()[1:]]
+    assert (values[0], values[-1]) == ends
+
+
 def test_help_exits_zero(capsys):
     for argv in (["--help"], ["profile", "--help"]):
         with pytest.raises(SystemExit) as exc:

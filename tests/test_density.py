@@ -1,5 +1,6 @@
 """Density families, ratio-bound verdicts, and the minimal passing dimension."""
 
+import json
 import math
 
 import mpmath
@@ -124,6 +125,10 @@ def test_tabulated_error_names_the_first_point_outside():
     assert str(err.value) == "tabulated density not defined at 2.5, outside its grid [0.0, 2.0]"
     with pytest.raises(DomainError, match=r"not defined at -1\.0, "):
         h(-1.0)
+    for call in (lambda: h(math.nan), lambda: h(np.array([0.5, math.nan])),
+                 lambda: h.integral(0.0, math.nan), lambda: h.integral(math.nan, 1.0)):
+        with pytest.raises(DomainError, match="not defined at nan, "):
+            call()
 
 
 def _breakpoint_cases():
@@ -204,6 +209,17 @@ def test_array_calls_match_scalar_calls_and_quadrature(family):
             assert value == pytest.approx(float(exact), rel=1e-13)
 
 
+# The JSON form of each density of test_json_round_trip, byte for byte.
+JSON_FORMS = {
+    "constant": '{"type": "constant", "c": 2.0}',
+    "monomial": '{"type": "monomial", "c": 0.7, "p": 1.5}',
+    "piecewise_monomial": '{"type": "piecewise_monomial", "breakpoints": [1.0], '
+                          '"pieces": [{"c": 1.0, "p": 0.0}, {"c": 1.0, "p": 2.0}]}',
+    "paper_sharp": '{"type": "paper_sharp", "avr": 0.25, "mass": 1.5, "N": 2.5}',
+    "tabulated": '{"type": "tabulated", "grid": [0.0, 0.5, 1.0], "values": [1.0, 2.0, 1.5]}',
+}
+
+
 @pytest.mark.parametrize(
     "h",
     [
@@ -215,14 +231,15 @@ def test_array_calls_match_scalar_calls_and_quadrature(family):
     ],
 )
 def test_json_round_trip(h):
-    assert density_from_dict(h.to_dict()) == h
+    assert json.dumps(h.to_dict()) == JSON_FORMS[h.kind]
+    assert density_from_dict(json.loads(JSON_FORMS[h.kind])) == h
 
 
 def test_density_from_dict_diagnostics():
     with pytest.raises(DomainError):
         density_from_dict({"type": "nope"})
-    with pytest.raises(DomainError):
-        density_from_dict({"type": "monomial", "c": 1.0})  # missing p
+    with pytest.raises(DomainError, match="missing field 'p'"):
+        density_from_dict({"type": "monomial", "c": 1.0})
     with pytest.raises(DomainError):
         density_from_dict([1, 2, 3])
 
@@ -393,10 +410,14 @@ SQUARE_PIECES = PiecewiseMonomialDensity((1.0,), ((1.0, 2.0), (1.0, 2.0)))
         lambda: minimal_mcp_dimension(SQUARE_PIECES, 3.0, 1.0, 30.0),
         lambda: minimal_mcp_dimension(SQUARE_PIECES, 3.0, 4.0, 4.0),
         lambda: minimal_mcp_dimension(SQUARE_PIECES, 3.0, 1.01, 30.0, grid_points=1),
+        lambda: check_mcp_density(SQUARE_PIECES, 2.0, 2.0, grid_points=100.5),
+        lambda: check_mcp_density(MonomialDensity(1.0, 1.0), 2.0, 2.0, grid_points=100.5),
+        lambda: minimal_mcp_dimension(MonomialDensity(1.0, 1.0), 2.0, 1.01, 30.0, 100.5),
     ],
     ids=[
         "eval-outside-table", "domain-zero", "support-misses-domain", "check-one-point",
-        "n-lo-one", "n-hi-at-n-lo", "min-dimension-one-point",
+        "n-lo-one", "n-hi-at-n-lo", "min-dimension-one-point", "check-float-points",
+        "check-exact-float-points", "min-dimension-float-points",
     ],
 )
 def test_bad_check_arguments_raise(call):

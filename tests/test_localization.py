@@ -111,6 +111,13 @@ def test_plane_chain_values(big_r):
     assert report.ordered()
 
 
+def test_chain_slack_grows_with_the_values():
+    # m_plus - needle_integral is -5.8e-11 here, rounding of values near 3.1e5.
+    report = dimension_reduction_chain(plane_model(), 5e4, 2e5)
+    assert report.m_plus == pytest.approx(1e5 * math.pi, rel=1e-13)
+    assert report.ordered()
+
+
 def test_plane_chain_approaches_limit_bound():
     reports = [dimension_reduction_chain(plane_model(), 1.0, R) for R in (8.0, 40.0, 400.0)]
     scaled = [r.scaled_profile_bound for r in reports]

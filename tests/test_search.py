@@ -146,6 +146,10 @@ def test_config_validation():
         SearchConfig(target_volume=0.1, volume_tolerance=0.1, max_components=0)
     with pytest.raises(DomainError):
         SearchConfig(target_volume=0.1, volume_tolerance=0.1, max_components=3)
+    for counts in ({"grid_points": 96.5}, {"max_components": 1.0}, {"max_components": True}):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SearchConfig(0.3, 0.01, **counts)
+    assert SearchConfig(0.3, 0.01, grid_points=np.int64(64)).grid_points == 64
     with pytest.raises(DomainError):
         SearchConfig(target_volume=-0.1, volume_tolerance=0.1)
     with pytest.raises(DomainError):
