@@ -13,13 +13,14 @@ import functools
 import json
 import math
 import sys
+from decimal import Context, Decimal
 from typing import Sequence
 
 import numpy as np
 
 from . import localization as loc
 from . import search as search_mod
-from .density import check_mcp_density, minimal_mcp_dimension
+from .density import _ratio_check, check_mcp_density, minimal_mcp_dimension
 from .errors import DomainError, InfeasibleSearchError
 from .profile import (
     avr_lower_bound,
@@ -43,6 +44,9 @@ _SEARCH_FIELDS = set("N avr volumes volume_tolerance grid_points max_components 
 
 # The extremal set meets the bound exactly; its computed gap is rounding only.
 _SHARP_GAP_TOL = 1e-10
+# Samples of min-dimension's search, and validate-density's default, so that
+# the printed minimal dimension passes validate-density.
+_DENSITY_GRID = 512
 
 
 def _parse_sweep(text: str, log: bool) -> list[float]:
@@ -134,11 +138,19 @@ def _cmd_validate_density(args):
 
 def _cmd_min_dimension(args):
     space = space_from_dict(_load_json(args.space))
-    result = minimal_mcp_dimension(space.h, space.D, args.n_lo, args.n_hi)
+    result = minimal_mcp_dimension(space.h, space.D, args.n_lo, args.n_hi, _DENSITY_GRID)
     headers = ["minimal_dimension"]
     if result is None:
         return headers, [["none"]], False
-    return headers, [[result]], True
+    # _emit rounds to --precision digits.  Rounded down, the value may fail the
+    # check that the result passes; then the next value up at that precision
+    # is shown instead, which passes, as the passing set is upward closed.
+    shown = Decimal(format(result, f".{args.precision}g"))
+    if shown < result:
+        check = _ratio_check(space.h, space.D, _DENSITY_GRID)[0]
+        if not (shown > 1 and check(float(shown)).passed):
+            shown = shown.next_plus(Context(prec=args.precision))
+    return headers, [[float(shown)]], True
 
 
 def _cmd_avr(args):
@@ -271,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-density", parents=[common], help="ratio-bound check")
     p.add_argument("--space", required=True, metavar="FILE")
     p.add_argument("--N", type=float, required=True)
-    p.add_argument("--grid-points", type=int, default=512, dest="grid_points")
+    p.add_argument("--grid-points", type=int, default=_DENSITY_GRID, dest="grid_points")
     p.set_defaults(func=_cmd_validate_density)
 
     p = sub.add_parser("min-dimension", parents=[common], help="smallest passing N")

@@ -52,6 +52,12 @@ _QUOTIENT_ROUNDING = 16 * np.finfo(float).eps
 _RATIO_RTOL = 1e-12
 # Width in N at which minimal_mcp_dimension stops bisecting.
 _BISECT_WIDTH = 1e-12
+# Relative half-width of the bracket minimal_mcp_dimension checks around its
+# secant guess; the guess misses by ~1e-9 (the _RATIO_RTOL term).
+_GUESS_BRACKET = 1e-8
+# A gap in log x (or log(D - x)) that _secant_guess takes for rounding dust,
+# as left where np.unique merges a breakpoint into the sample grid.
+_DUST_GAP = 1e-9
 
 
 class Density:
@@ -474,8 +480,11 @@ def _sampled_witness(
     return None
 
 
-def _ratio_check(h: Density, D: float, grid_points: int) -> Callable[[float], Verdict]:
-    """Sample h once; the result maps N to the Verdict of check_mcp_density."""
+def _ratio_check(
+    h: Density, D: float, grid_points: int
+) -> tuple[Callable[[float], Verdict], list[tuple[np.ndarray, np.ndarray]]]:
+    """Sample h once: a function mapping N to the Verdict of check_mcp_density,
+    and the sample sets (xs, h(xs)) it scans."""
     require_count("grid_points", grid_points, 2)
     # Pairs inside the last piece reduce to its exponent, so on the half line
     # the pair (b, 2b) at the last breakpoint (b = 1 with none) checks the tail.
@@ -501,7 +510,29 @@ def _ratio_check(h: Density, D: float, grid_points: int) -> Callable[[float], Ve
                 return Verdict(FAIL, witness, samples_used=used)
         return Verdict(status, samples_used=used)
 
-    return verdict
+    return verdict, samples
+
+
+def _secant_guess(samples: list[tuple[np.ndarray, np.ndarray]], D: float) -> float:
+    """1 + the steepest secant of log h between neighbouring samples, against
+    log x and, on [0, D], against log(D - x): near the least N that passes.
+
+    The ratio bounds at N say that no secant is steeper than N - 1, and the
+    steepest secant over all pairs joins neighbours.  Non-finite secants
+    (zeros of h, x = 0 or x = D) and gaps of rounding dust in the abscissa
+    are skipped.  -inf when no secant is left.
+    """
+    steepest = -math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for xs, hv in samples:
+            rise = np.diff(np.log(hv))
+            axes = [xs] if math.isinf(D) else [xs, D - xs]
+            for run in (np.diff(np.log(a)) for a in axes):
+                slope = rise / run
+                slope = slope[np.isfinite(slope) & (np.abs(run) > _DUST_GAP)]
+                if slope.size:
+                    steepest = max(steepest, float(slope.max()))
+    return 1.0 + steepest
 
 
 def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) -> Verdict:
@@ -521,7 +552,7 @@ def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) ->
     """
     D = _validate_domain(D)
     N = require_dimension(N)
-    verdict = _ratio_check(h, D, grid_points)(N)
+    verdict = _ratio_check(h, D, grid_points)[0](N)
     if (verdict.status == PASS_SAMPLED and math.isinf(D)
             and not isinstance(h, _PowerPieces)):
         raise DomainError(
@@ -545,25 +576,39 @@ def minimal_mcp_dimension(
     fails.  For a tabulated density on the half line the result certifies
     the sampled grid only (the tail stays unverified).
 
-    h is sampled once; each step costs one O(n) scan.  The bisection stays
-    rather than a closed-form largest secant slope of (log x, log h): that
-    formula ignores the _RATIO_RTOL term of the check, so it would be a second
-    definition of the passing set and drift from it by up to ~1e-9.
+    h is sampled once; each check costs one O(n) scan.  The steepest secant
+    of the samples (_secant_guess) lands within ~1e-9 of the answer, so the
+    two checks at guess * (1 -+ 1e-8) bracket it first.  The bisection then
+    takes the same midpoints from [n_lo, n_hi] and stops at the same width,
+    but a midpoint at or above a passed N passes and one at or below a failed
+    N fails without a scan; only those between are checked.  The guess is
+    never a decision, only a place to check: by upward closure each skipped
+    scan would have given the answer assumed, so the result is that of the
+    plain bisection whatever the guess, and a wrong guess costs two scans.
     """
     D = _validate_domain(D)
     if not n_lo > 1.0:
         raise DomainError(f"n_lo must exceed 1, got {n_lo}")
     if not n_lo < n_hi < math.inf:
         raise DomainError(f"need n_lo < n_hi < inf, got [{n_lo}, {n_hi}]")
-    check = _ratio_check(h, D, grid_points)
+    check, samples = _ratio_check(h, D, grid_points)
     if not check(n_hi).passed:
         return None
     if check(n_lo).passed:
         return float(n_lo)
     lo, hi = float(n_lo), float(n_hi)
+    # The largest N known to fail and the smallest known to pass.
+    failed, passed = lo, hi
+    guess = _secant_guess(samples, D)
+    for n in (guess * (1.0 - _GUESS_BRACKET), guess * (1.0 + _GUESS_BRACKET)):
+        if failed < n < passed:
+            if check(n).passed:
+                passed = n
+            else:
+                failed = n
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if check(mid).passed:
+        if mid >= passed or (mid > failed and check(mid).passed):
             hi = mid
         else:
             lo = mid

@@ -121,6 +121,21 @@ def test_min_dimension_and_none_case(capsys, tmp_path):
     assert out.splitlines()[1] == "none"
 
 
+def test_printed_min_dimension_passes_the_check(capsys, tmp_path):
+    # The least passing N is 3.98835698185249...; rounded to 12 digits it
+    # fell below the threshold, so the printed value failed the check.
+    space = write_json(tmp_path, "tab.json", {
+        "D": 3.0, "density": {"type": "tabulated", "grid": [0, 1, 2, 3], "values": [0, 1, 4, 0]},
+    })
+    code, out, _ = run(capsys, "validate-density", "--space", space, "--N", "3.98835698185")
+    assert code == 2
+    for precision, shown in (("12", "3.98835698186"), ("5", "3.9884"), ("1", "4")):
+        code, out, _ = run(capsys, "min-dimension", "--space", space, "--precision", precision)
+        assert (code, out.splitlines()[1]) == (0, shown)
+        code, out, _ = run(capsys, "validate-density", "--space", space, "--N", shown)
+        assert code == 0, out
+
+
 def test_min_dimension_rejects_an_infinite_upper_end(tmp_path):
     # The bisection midpoint of [n_lo, inf] is inf, so the search never
     # narrowed; a separate process lets the timeout catch that.

@@ -1,4 +1,5 @@
-"""The O(n) ratio-bound scan against the O(n^2) sweep over all sample pairs."""
+"""The O(n) ratio-bound scan against the O(n^2) sweep over all sample pairs,
+and its order in N, which the minimal-dimension search rests on."""
 
 import math
 from typing import Optional
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcp_iso import Witness
-from mcp_iso.density import _sampled_witness
+from mcp_iso.density import _sampled_witness, _secant_guess
 
 REL_TOL = 1e-12
 
@@ -89,3 +90,20 @@ def test_scan_matches_pair_sweep(case):
         np.testing.assert_array_max_ulp(
             np.array([found.lhs, found.rhs]), np.array([expected.lhs, expected.rhs]), maxulp=4
         )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(samples(), st.data())
+def test_passing_set_is_upward_closed(case, data):
+    """Both the plain bisection and minimal_mcp_dimension's skipped scans
+    rest on this: a pass at N1 is a pass at every N2 >= N1 (1 + 1e-9)."""
+    xs, hv, D, N = case
+    guess = _secant_guess([(xs, hv)], D)
+    if 1.0 < guess < 30.0 and data.draw(st.booleans()):
+        # At or just below the least passing N, where the order could break.
+        shift = data.draw(st.integers(-100, 100).map(lambda k: k * 1e-10) | st.floats(-0.1, 0.0))
+        N = 1.0 + (guess - 1.0) * (1.0 + shift)
+    if _sampled_witness(xs, hv, D, N, REL_TOL) is None:
+        for grow in (0.0, 1e-9, 3e-9, 1e-8, 1e-6, 1e-3, data.draw(st.floats(0.0, 2.0))):
+            N2 = N * (1.0 + 1e-9) * (1.0 + grow)
+            assert _sampled_witness(xs, hv, D, N2, REL_TOL) is None, N2
