@@ -30,11 +30,9 @@ from .errors import (
 from .localization import (
     ChainReport,
     RadialModel,
-    TruncatedNeedle,
     dimension_reduction_chain,
     disintegrate_ball,
     model_from_dict,
-    verify_disintegration,
 )
 from .numerics import invert_monotone, unit_ball_volume
 from .profile import (
@@ -67,7 +65,6 @@ from .space import (
     minkowski_content_estimator,
     sharp_space,
     space_from_dict,
-    verify_sharpness,
     volume_ratio,
 )
 

@@ -234,13 +234,12 @@ def _cmd_localize(args):
     all_ordered = True
     for big_r in _parse_sweep(args.R, args.log):
         report = loc.dimension_reduction_chain(model, args.r, big_r)
-        residual = loc.verify_disintegration(model, args.r, big_r)
         ordered = report.ordered()
         all_ordered = all_ordered and ordered
         rows.append(
             [
                 report.R, report.m_plus, report.needle_integral,
-                report.scaled_profile_bound, report.avr_bound, residual, ordered,
+                report.scaled_profile_bound, report.avr_bound, report.residual, ordered,
             ]
         )
     return headers, rows, all_ordered

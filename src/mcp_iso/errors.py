@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["DomainError", "BracketError", "PreconditionError", "InfeasibleSearchError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

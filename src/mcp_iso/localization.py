@@ -25,10 +25,8 @@ from .space import IntervalUnion, WeightedInterval, avr, minkowski_content
 
 __all__ = [
     "RadialModel",
-    "TruncatedNeedle",
     "ChainReport",
     "disintegrate_ball",
-    "verify_disintegration",
     "dimension_reduction_chain",
     "model_from_dict",
 ]
@@ -36,8 +34,6 @@ __all__ = [
 # Rounding slack allowed in each inequality lhs >= rhs of the chain, relative
 # to max(1, |lhs|, |rhs|): the rounding of the values grows with them.
 _CHAIN_SLACK = 1e-12
-# Distance from 1 of a normalized needle's mass that counts as rounding.
-_NEEDLE_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,32 +86,14 @@ def model_from_dict(data: dict) -> RadialModel:
     return RadialModel(theta, weight, N, ray_length)
 
 
-@dataclass(frozen=True)
-class TruncatedNeedle:
-    """One ray of the decomposition, truncated to [0, T] and normalized."""
-
-    T: float
-    normalized_density: Density
-
-    def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise DomainError(f"truncation length must be positive and finite, got {self.T}")
-        mass = self.normalized_density.integral(0.0, self.T)
-        if abs(mass - 1.0) > _NEEDLE_MASS_TOL:
-            raise DomainError(f"normalized ray density has mass {mass}, expected 1")
-
-    def as_space(self) -> WeightedInterval:
-        return WeightedInterval(self.T, self.normalized_density)
-
-
 def disintegrate_ball(
     model: RadialModel, r: float, R: float
-) -> tuple[TruncatedNeedle, float]:
+) -> tuple[WeightedInterval, float]:
     """Truncated normalized ray decomposition for E = B_r inside B_R.
 
-    By symmetry all rays coincide: T = R, the ray density is w / int_0^R w,
-    and the quotient measure has total mass m(B_R).  The per-ray mass of E
-    is then m(E) / m(B_R) by construction.
+    By symmetry all rays coincide: the needle is [0, R] with probability
+    density w / int_0^R w, and the quotient measure has total mass m(B_R).
+    The per-ray mass of E is then m(E) / m(B_R) by construction.
     """
     if not (0.0 < r and math.isfinite(R) and R > 0.0):
         raise DomainError(f"need finite positive radii, got r={r}, R={R}")
@@ -124,15 +102,8 @@ def disintegrate_ball(
     if R > model.ray_length:
         raise PreconditionError(f"R={R} exceeds the ray length {model.ray_length}")
     ray_mass = model.radial_weight.integral(0.0, R)
-    needle = TruncatedNeedle(R, model.radial_weight.scaled(1.0 / ray_mass))
+    needle = WeightedInterval(R, model.radial_weight.scaled(1.0 / ray_mass))
     return needle, model.total_angle * ray_mass
-
-
-def verify_disintegration(model: RadialModel, r: float, R: float) -> float:
-    """|m(B_r) - quotient_mass * per-ray mass of B_r|; zero up to rounding."""
-    needle, quotient_mass = disintegrate_ball(model, r, R)
-    per_ray = needle.normalized_density.integral(0.0, r)
-    return abs(model.ball_mass(r) - quotient_mass * per_ray)
 
 
 @dataclass(frozen=True)
@@ -145,6 +116,7 @@ class ChainReport:
     avr_bound: float
     avr_value: float
     avr_certified: bool
+    residual: float
 
     def ordered(self) -> bool:
         """Chain inequalities hold: m_plus >= needle_integral >=
@@ -165,13 +137,14 @@ def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainRe
     scaled_profile_bound: m(B_R) * profile(N, R + diam E, m(E)/m(B_R)) with
                           diam E = 2r (a safe upper bound on the diameter);
     avr_bound:            the volume-growth comparison bound, the R -> inf
-                          limit of the scaled profile term.
+                          limit of the scaled profile term;
+    residual:             |m(E) - m(B_R) * per-ray mass of E|, zero up to rounding.
     """
     needle, m_ball = disintegrate_ball(model, r, R)
     m_e = model.ball_mass(r)
     m_plus = model.total_angle * model.radial_weight(r)
 
-    ray_content = minkowski_content(needle.as_space(), IntervalUnion.of([(0.0, r)]))
+    ray_content = minkowski_content(needle, IntervalUnion.of([(0.0, r)]))
     needle_integral = m_ball * ray_content
 
     fraction = m_e / m_ball
@@ -189,4 +162,5 @@ def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainRe
         avr_bound=bound,
         avr_value=avr_value,
         avr_certified=certified,
+        residual=abs(m_e - m_ball * needle.h.integral(0.0, r)),
     )

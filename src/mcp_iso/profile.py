@@ -221,14 +221,19 @@ def cone_radius(N: float, avr: float, mass: float) -> float:
     return (mass / cone_coefficient(N, avr)) ** (1.0 / N)
 
 
-def avr_lower_bound(N: float, avr: float, mass: float) -> float:
-    """Boundary lower bound (N omega_N avr)^(1/N) * mass^((N-1)/N)."""
+def _mass_power_bound(N: float, avr: float, mass: float, coefficient) -> float:
+    """coefficient(N, avr) * mass^((N-1)/N) for checked inputs; 0 if avr or mass is 0."""
     N = require_dimension(N)
     if not (0.0 <= avr < math.inf and 0.0 <= mass < math.inf):
         raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
     if avr == 0.0 or mass == 0.0:
         return 0.0
-    return cone_coefficient(N, avr) ** (1.0 / N) * mass ** ((N - 1.0) / N)
+    return coefficient(N, avr) * mass ** ((N - 1.0) / N)
+
+
+def avr_lower_bound(N: float, avr: float, mass: float) -> float:
+    """Boundary lower bound (N omega_N avr)^(1/N) * mass^((N-1)/N)."""
+    return _mass_power_bound(N, avr, mass, lambda N, avr: cone_coefficient(N, avr) ** (1.0 / N))
 
 
 def cd_lower_bound(N: float, avr: float, mass: float) -> float:
@@ -236,11 +241,6 @@ def cd_lower_bound(N: float, avr: float, mass: float) -> float:
 
     Always >= avr_lower_bound, with ratio N^((N-1)/N) when avr, mass > 0.
     """
-    N = require_dimension(N)
-    if not (0.0 <= avr < math.inf and 0.0 <= mass < math.inf):
-        raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
-    if avr == 0.0 or mass == 0.0:
-        return 0.0
-    return N * unit_ball_volume(N) ** (1.0 / N) * avr ** (1.0 / N) * mass ** (
-        (N - 1.0) / N
+    return _mass_power_bound(
+        N, avr, mass, lambda N, avr: N * unit_ball_volume(N) ** (1.0 / N) * avr ** (1.0 / N)
     )

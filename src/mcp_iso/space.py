@@ -19,7 +19,7 @@ from .density import (
 )
 from .errors import DomainError, PreconditionError
 from .numerics import require_dimension, unit_ball_volume
-from .profile import avr_lower_bound, cone_coefficient
+from .profile import cone_coefficient
 
 __all__ = [
     "WeightedInterval",
@@ -32,7 +32,6 @@ __all__ = [
     "avr",
     "bishop_gromov_check",
     "sharp_space",
-    "verify_sharpness",
     "space_from_dict",
     "interval_union_from_dict",
 ]
@@ -41,6 +40,8 @@ __all__ = [
 _RATIO_RISE_RTOL = 1e-12
 # Relative distance of a tail exponent from N - 1 at which avr takes it as N - 1.
 _TAIL_MATCH_RTOL = 1e-12
+# Radius at which avr reads the volume ratio of a density without a known tail.
+_AVR_R_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -210,13 +211,13 @@ def volume_ratio(space: WeightedInterval, N: float, r: float) -> float:
     return measure(space, ball) / (unit_ball_volume(N) * r ** N)
 
 
-def avr(space: WeightedInterval, N: float, r_max: float = 1e6) -> AvrResult:
+def avr(space: WeightedInterval, N: float) -> AvrResult:
     """Asymptotic volume ratio of the space.
 
     Bounded spaces have ratio 0, certified.  On the half line the limit is
     analytic whenever the density has a monomial tail c x^p: it equals
     c / (N omega_N) for p = N - 1, vanishes for p < N - 1 and diverges for
-    p > N - 1.  Without a known tail the ratio at r_max is returned
+    p > N - 1.  Without a known tail the ratio at _AVR_R_MAX is returned
     uncertified; by volume-ratio monotonicity it upper-bounds the limit.
     """
     N = require_dimension(N)
@@ -231,7 +232,7 @@ def avr(space: WeightedInterval, N: float, r_max: float = 1e6) -> AvrResult:
         if gap < 0.0:
             return AvrResult(0.0, True)
         return AvrResult(math.inf, True)
-    return AvrResult(volume_ratio(space, N, r_max), False)
+    return AvrResult(volume_ratio(space, N, _AVR_R_MAX), False)
 
 
 def bishop_gromov_check(space: WeightedInterval, N: float, radii: Sequence[float]) -> Verdict:
@@ -253,8 +254,3 @@ def sharp_space(avr_value: float, mass: float, N: float) -> tuple[WeightedInterv
     h = SharpDensity(avr_value, mass, N)
     return WeightedInterval(math.inf, h), IntervalUnion.of([(0.0, h.x_star)])
 
-
-def verify_sharpness(avr_value: float, mass: float, N: float) -> float:
-    """Boundary content of the extremal set minus the lower bound: 0.0 by construction."""
-    space, extremal = sharp_space(avr_value, mass, N)
-    return minkowski_content(space, extremal) - avr_lower_bound(N, avr_value, mass)

@@ -34,8 +34,6 @@ from mcp_iso import (
     profile_mcp,
     sharp_space,
     unit_ball_volume,
-    verify_disintegration,
-    verify_sharpness,
 )
 
 INF = math.inf
@@ -142,11 +140,11 @@ def test_criterion_4_sharpness_grid():
     for a in avrs:
         for v in masses:
             for n in dims:
-                gap = verify_sharpness(a, v, n)
+                space, extremal = sharp_space(a, v, n)
+                gap = minkowski_content(space, extremal) - avr_lower_bound(n, a, v)
                 if abs(gap) > 1e-10:
                     ok = False
                     detail.append(f"gap {gap:.2e} at ({a}, {v}, {n})")
-                space, _ = sharp_space(a, v, n)
                 if check_mcp_density(space.h, INF, n).status != "pass_exact":
                     ok = False
                     detail.append(f"density check failed at ({a}, {v}, {n})")
@@ -233,11 +231,10 @@ def test_criterion_7_localization_chain():
     ok = True
     details = []
     for big_r in (8.0, 40.0, 400.0):
-        residual = verify_disintegration(model, 1.0, big_r)
-        if residual > 1e-9:
-            ok = False
-            details.append(f"residual {residual:.2e} at R={big_r}")
         rep = dimension_reduction_chain(model, 1.0, big_r)
+        if rep.residual > 1e-9:
+            ok = False
+            details.append(f"residual {rep.residual:.2e} at R={big_r}")
         if not rep.ordered():
             ok = False
             details.append(f"chain out of order at R={big_r}")

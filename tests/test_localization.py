@@ -10,13 +10,11 @@ from mcp_iso import (
     MonomialDensity,
     PreconditionError,
     RadialModel,
-    TruncatedNeedle,
     avr_lower_bound,
     check_mcp_density,
     dimension_reduction_chain,
     disintegrate_ball,
     model_from_dict,
-    verify_disintegration,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -28,31 +26,52 @@ def plane_model():
 
 def test_plane_decomposition_golden():
     needle, quotient_mass = disintegrate_ball(plane_model(), 1.0, 4.0)
-    assert needle.T == 4.0
+    assert needle.D == 4.0
     # normalized ray density is 2 t / R^2 on [0, R]
-    assert needle.normalized_density(2.0) == pytest.approx(0.25, rel=1e-13)
+    assert needle.h(2.0) == pytest.approx(0.25, rel=1e-13)
     assert quotient_mass == pytest.approx(16.0 * math.pi, rel=1e-13)
-    per_ray = needle.normalized_density.integral(0.0, 1.0)
+    per_ray = needle.h.integral(0.0, 1.0)
     assert per_ray == pytest.approx(1.0 / 16.0, rel=1e-13)
 
 
 def test_uniform_weight_gives_uniform_needle():
     model = RadialModel(1.0, ConstantDensity(1.0), 2.0, math.inf)
     needle, quotient_mass = disintegrate_ball(model, 0.5, 4.0)
-    assert needle.normalized_density(1.0) == pytest.approx(0.25, rel=1e-13)
-    assert needle.normalized_density.integral(0.0, 0.5) == pytest.approx(
+    assert needle.h(1.0) == pytest.approx(0.25, rel=1e-13)
+    assert needle.h.integral(0.0, 0.5) == pytest.approx(
         0.5 / 4.0, rel=1e-13
     )
     assert quotient_mass == pytest.approx(4.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("theta", [1.0, TWO_PI])
-@pytest.mark.parametrize("radii", [(0.5, 2.0), (1.0, 8.0), (2.0, 50.0)])
+CORPUS_P = [0.5, 1.0, 2.0]
+CORPUS_THETA = [1.0, TWO_PI]
+CORPUS_RADII = [(0.5, 2.0), (1.0, 8.0), (2.0, 50.0)]
+
+
+def corpus_model(p, theta):
+    return RadialModel(theta, MonomialDensity(1.0, p), p + 1.0001, math.inf)
+
+
+def over_model_corpus(test):
+    for name, values in (("radii", CORPUS_RADII), ("theta", CORPUS_THETA), ("p", CORPUS_P)):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+@over_model_corpus
 def test_disintegration_residual_on_model_corpus(p, theta, radii):
-    model = RadialModel(theta, MonomialDensity(1.0, p), p + 1.0001, math.inf)
     r, big_r = radii
-    assert verify_disintegration(model, r, big_r) <= 1e-9
+    assert dimension_reduction_chain(corpus_model(p, theta), r, big_r).residual <= 1e-9
+
+
+@over_model_corpus
+def test_residual_is_the_decomposition_defect(p, theta, radii):
+    model = corpus_model(p, theta)
+    r, big_r = radii
+    needle, quotient_mass = disintegrate_ball(model, r, big_r)
+    defect = abs(model.ball_mass(r) - quotient_mass * needle.h.integral(0.0, r))
+    assert dimension_reduction_chain(model, r, big_r).residual == defect
 
 
 def test_preconditions():
@@ -70,8 +89,6 @@ def test_preconditions():
         RadialModel(math.inf, ConstantDensity(1.0), 2.0, 10.0)
     with pytest.raises(DomainError):
         RadialModel(1.0, ConstantDensity(1.0), 2.0, 0.0)  # ray_length <= 0
-    with pytest.raises(DomainError):
-        TruncatedNeedle(math.inf, ConstantDensity(1.0))
 
 
 def test_model_requires_admissible_weight():
@@ -80,16 +97,18 @@ def test_model_requires_admissible_weight():
 
 
 def test_needle_mass_invariant():
-    with pytest.raises(DomainError):
-        TruncatedNeedle(2.0, ConstantDensity(1.0))  # mass 2, not 1
-    TruncatedNeedle(2.0, ConstantDensity(0.5))
+    for p in CORPUS_P:
+        for theta in CORPUS_THETA:
+            for r, big_r in CORPUS_RADII:
+                needle, _ = disintegrate_ball(corpus_model(p, theta), r, big_r)
+                assert abs(needle.h.integral(0.0, big_r) - 1.0) <= 1e-10
 
 
 def test_needles_inherit_the_density_bounds():
     for p, theta in ((0.5, 1.0), (1.0, TWO_PI), (2.0, 2.0)):
         model = RadialModel(theta, MonomialDensity(1.0, p), p + 1.0, math.inf)
         needle, _ = disintegrate_ball(model, 1.0, 8.0)
-        verdict = check_mcp_density(needle.normalized_density, needle.T, model.N)
+        verdict = check_mcp_density(needle.h, needle.D, model.N)
         assert verdict.passed
 
 
@@ -140,7 +159,7 @@ def test_flat_model_chain_is_trivially_ordered():
 
 def test_truncation_respects_diameter_bound():
     needle, _ = disintegrate_ball(plane_model(), 1.0, 8.0)
-    assert needle.T == 8.0 <= 8.0 + 2.0
+    assert needle.D == 8.0 <= 8.0 + 2.0
 
 
 def test_model_json_round_trip():

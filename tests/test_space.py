@@ -28,7 +28,6 @@ from mcp_iso import (
     sharp_space,
     space_from_dict,
     unit_ball_volume,
-    verify_sharpness,
     volume_ratio,
 )
 
@@ -250,7 +249,7 @@ class _BumpPlusLinear(Density):
 
 def test_avr_uncertified_ratio_upper_bounds_the_limit():
     space = WeightedInterval(INF, _BumpPlusLinear())
-    value, certified = avr(space, 2.0, r_max=1e6)
+    value, certified = avr(space, 2.0)
     assert not certified
     true_limit = 1.0 / (2.0 * unit_ball_volume(2.0))
     assert value >= true_limit
@@ -295,14 +294,20 @@ def test_sharp_space_flat_then_linear_example():
     assert check_mcp_density(h, INF, 2.0).status == "pass_exact"
 
 
+def sharpness_gap(avr_value, mass, N):
+    """Boundary content of the extremal set minus the lower bound."""
+    space, extremal = sharp_space(avr_value, mass, N)
+    return minkowski_content(space, extremal) - avr_lower_bound(N, avr_value, mass)
+
+
 def test_verify_sharpness_gap_vanishes():
-    assert abs(verify_sharpness(1.0 / (2.0 * math.pi), 1.0, 2.0)) <= 1e-12
+    assert abs(sharpness_gap(1.0 / (2.0 * math.pi), 1.0, 2.0)) <= 1e-12
     for a in (0.1, 1.0, 5.0):
         for v in (0.5, 1.0, 10.0):
             for n in (1.5, 2.0, 3.0, 5.0):
-                assert abs(verify_sharpness(a, v, n)) <= 1e-10
+                assert abs(sharpness_gap(a, v, n)) <= 1e-10
     # degenerate tiny mass: both sides vanish together
-    assert abs(verify_sharpness(0.5, 1e-12, 2.0)) <= 1e-12
+    assert abs(sharpness_gap(0.5, 1e-12, 2.0)) <= 1e-12
 
 
 def test_bound_holds_for_sampled_sets_on_certified_spaces():
