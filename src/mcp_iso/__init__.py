@@ -34,7 +34,7 @@ from .localization import (
     disintegrate_ball,
     model_from_dict,
 )
-from .numerics import invert_monotone, unit_ball_volume
+from .numerics import invert_monotone, log_unit_ball_volume, unit_ball_volume
 from .profile import (
     ProfileResult,
     avr_lower_bound,

@@ -8,12 +8,12 @@ succeeded but a check failed, 1 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import sys
 from decimal import Context, Decimal
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -85,21 +85,38 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"cannot read {path}: {exc}")
 
 
+def _csv_field(value, spec: str, alone: bool) -> str:
+    """One cell as csv.writer writes it by default: quoted when it holds a
+    comma, a quote or a line feed, or when it is the empty only field of its
+    row; a quote inside is doubled."""
+    text = "" if value is None else format(value, spec) if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or (alone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(headers: list[str], rows: list[list], fmt: str, precision: int) -> None:
     # Each float is formatted once; non-finite ones come out as inf, -inf or nan.
     spec = f".{precision}g"
-    cells = [[format(v, spec) if isinstance(v, float) else v for v in row] for row in rows]
     if fmt == "json":
+        cells = [[format(v, spec) if isinstance(v, float) else v for v in row] for row in rows]
         records = [
             {k: float(c) if isinstance(v, float) and math.isfinite(v) else c
              for k, v, c in zip(headers, row, cell_row)}
             for row, cell_row in zip(rows, cells)
         ]
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(cells)
+        return
+    # One printf template for the whole table: %g for a column of floats
+    # only, %s for any other column, whose cells are rendered and quoted first.
+    alone = len(headers) == 1
+    floats = [all(map(isinstance, column, repeat(float))) for column in zip(*rows)]
+    if not all(floats):
+        rows = [[v if f else _csv_field(v, spec, alone) for v, f in zip(row, floats)]
+                for row in rows]
+    row_format = ",".join(f"%{spec}" if f else "%s" for f in floats) + "\n"
+    header = ",".join(_csv_field(h, spec, alone) for h in headers) + "\n"
+    sys.stdout.write(header + (row_format * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 def _set_to_text(best_set) -> str:

@@ -13,10 +13,12 @@ from typing import Callable
 from .errors import BracketError, DomainError, PreconditionError
 
 __all__ = [
+    "log_unit_ball_volume",
     "unit_ball_volume",
     "invert_monotone",
 ]
 
+_LOG_PI = math.log(math.pi)
 # Bracket width where inversion stops, and the rounding slack of its sampled checks.
 _INVERT_TOL = 1e-12
 
@@ -35,14 +37,20 @@ def require_count(name: str, value: int, low: int) -> int:
     return int(value)
 
 
-def unit_ball_volume(N: float) -> float:
-    """Volume of the unit ball in dimension N, extended to real N > 0.
+def log_unit_ball_volume(N: float) -> float:
+    """log omega_N = (N/2) log pi - log Gamma(N/2 + 1), finite at every real N > 0.
 
-    Computed as pi^(N/2) / Gamma(N/2 + 1).
+    omega_N itself underflows past N ~ 450, and Gamma(N/2 + 1) overflows
+    past N ~ 341, so constants built from omega_N are formed as sums of logs.
     """
     if not (math.isfinite(N) and N > 0.0):
-        raise DomainError(f"unit_ball_volume requires finite N > 0, got {N}")
-    return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
+        raise DomainError(f"the unit-ball volume needs finite N > 0, got {N}")
+    return 0.5 * N * _LOG_PI - math.lgamma(0.5 * N + 1.0)
+
+
+def unit_ball_volume(N: float) -> float:
+    """Volume omega_N of the unit ball in dimension N, extended to real N > 0."""
+    return math.exp(log_unit_ball_volume(N))
 
 
 def invert_monotone(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import require_dimension, unit_ball_volume
+from .numerics import log_unit_ball_volume, require_dimension
 
 __all__ = [
     "ProfileResult",
@@ -211,29 +211,36 @@ def expansion_leading_coefficient(N: float) -> float:
     return N ** (1.0 / N)
 
 
+def log_cone_coefficient(N: float, avr: float) -> float:
+    """log(N omega_N avr) for avr > 0, finite where the coefficient underflows."""
+    return math.log(N) + log_unit_ball_volume(N) + math.log(avr)
+
+
 def cone_coefficient(N: float, avr: float) -> float:
-    """Coefficient N omega_N avr of the model cone c x^(N-1) with volume ratio avr."""
-    return N * unit_ball_volume(N) * avr
+    """Coefficient N omega_N avr of the model cone c x^(N-1) with volume ratio avr > 0."""
+    return math.exp(log_cone_coefficient(N, avr))
 
 
 def cone_radius(N: float, avr: float, mass: float) -> float:
     """Radius (mass / (N omega_N avr))^(1/N) of that cone's ball [0, r] of this mass."""
-    return (mass / cone_coefficient(N, avr)) ** (1.0 / N)
+    return mass ** (1.0 / N) * math.exp(-log_cone_coefficient(N, avr) / N)
 
 
-def _mass_power_bound(N: float, avr: float, mass: float, coefficient) -> float:
-    """coefficient(N, avr) * mass^((N-1)/N) for checked inputs; 0 if avr or mass is 0."""
+def _mass_power_bound(N: float, avr: float, mass: float, log_power) -> float:
+    """(P * mass^(N-1))^(1/N) with log P = log_power(N, avr), for checked
+    inputs; 0 if avr or mass is 0.  As an exp of a sum of logs, no factor
+    leaves the float range."""
     N = require_dimension(N)
     if not (0.0 <= avr < math.inf and 0.0 <= mass < math.inf):
         raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
     if avr == 0.0 or mass == 0.0:
         return 0.0
-    return coefficient(N, avr) * mass ** ((N - 1.0) / N)
+    return math.exp((log_power(N, avr) + (N - 1.0) * math.log(mass)) / N)
 
 
 def avr_lower_bound(N: float, avr: float, mass: float) -> float:
     """Boundary lower bound (N omega_N avr)^(1/N) * mass^((N-1)/N)."""
-    return _mass_power_bound(N, avr, mass, lambda N, avr: cone_coefficient(N, avr) ** (1.0 / N))
+    return _mass_power_bound(N, avr, mass, log_cone_coefficient)
 
 
 def cd_lower_bound(N: float, avr: float, mass: float) -> float:
@@ -242,5 +249,5 @@ def cd_lower_bound(N: float, avr: float, mass: float) -> float:
     Always >= avr_lower_bound, with ratio N^((N-1)/N) when avr, mass > 0.
     """
     return _mass_power_bound(
-        N, avr, mass, lambda N, avr: N * unit_ball_volume(N) ** (1.0 / N) * avr ** (1.0 / N)
+        N, avr, mass, lambda N, avr: N * math.log(N) + log_unit_ball_volume(N) + math.log(avr)
     )

@@ -18,8 +18,8 @@ from .density import (
     density_from_dict,
 )
 from .errors import DomainError, PreconditionError
-from .numerics import require_dimension, unit_ball_volume
-from .profile import cone_coefficient
+from .numerics import log_unit_ball_volume, require_dimension
+from .profile import log_cone_coefficient
 
 __all__ = [
     "WeightedInterval",
@@ -207,8 +207,9 @@ def volume_ratio(space: WeightedInterval, N: float, r: float) -> float:
     N = require_dimension(N)
     if not (0.0 < r <= space.D):
         raise DomainError(f"radius must lie in (0, D], got {r}")
-    ball = IntervalUnion.of([(0.0, r)])
-    return measure(space, ball) / (unit_ball_volume(N) * r ** N)
+    m = measure(space, IntervalUnion.of([(0.0, r)]))
+    # As a difference of logs: omega_N and r^N can each leave the float range.
+    return math.exp(math.log(m) - log_unit_ball_volume(N) - N * math.log(r)) if m > 0.0 else 0.0
 
 
 def avr(space: WeightedInterval, N: float) -> AvrResult:
@@ -228,7 +229,7 @@ def avr(space: WeightedInterval, N: float) -> AvrResult:
         c, p = tail
         gap = p - (N - 1.0)
         if abs(gap) <= _TAIL_MATCH_RTOL * max(1.0, abs(p)):
-            return AvrResult(c / cone_coefficient(N, 1.0), True)
+            return AvrResult(math.exp(math.log(c) - log_cone_coefficient(N, 1.0)), True)
         if gap < 0.0:
             return AvrResult(0.0, True)
         return AvrResult(math.inf, True)

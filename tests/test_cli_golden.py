@@ -101,6 +101,8 @@ COMMANDS = {
     "profile-bad-v": ["profile", "--N", "2", "--D", "1", "--v", "1.5"],
     "expansion": ["expansion", "--N", "3", "--v-min", "1e-6", "--points", "4"],
     "bounds": ["bounds", "--N", "2.5", "--avr", "0.3", "--mass", "1.7"],
+    # Gamma(N/2 + 1) overflows past N ~ 341; the bounds are formed from logs.
+    "bounds-400": ["bounds", "--N", "400", "--avr", "1", "--mass", "1"],
     "sharp-2": ["sharp", "--avr", "0.2", "--mass", "1", "--N", "2"],
     "sharp-3.5": ["sharp", "--avr", "3", "--mass", "0.5", "--N", "3.5"],
     "avr-cone": ["avr", "--space", "@cone_half", "--N", "2"],

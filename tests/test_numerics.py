@@ -28,9 +28,9 @@ def test_unit_ball_volume_rejects_bad_dimension(bad):
         unit_ball_volume(bad)
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", [*range(3, 11), 345, 401])
 def test_ball_volume_recurrence(n):
-    # omega_N = omega_{N-2} * 2 pi / N
+    # omega_N = omega_{N-2} * 2 pi / N, also past N ~ 341 where Gamma(N/2 + 1) overflows
     assert unit_ball_volume(float(n)) == pytest.approx(
         unit_ball_volume(float(n - 2)) * 2.0 * math.pi / n, rel=1e-12
     )

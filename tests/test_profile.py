@@ -14,6 +14,7 @@ from mcp_iso import (
     eval_v,
     expansion_leading_coefficient,
     invert_v,
+    log_unit_ball_volume,
     profile_mcp,
     unit_ball_volume,
 )
@@ -282,23 +283,32 @@ def test_unit_ball_volume_reexport_is_consistent():
 
 
 def test_cone_constants_match_mpmath():
-    # The model cone h = N omega_N avr x^(N-1): its coefficient, the radius
-    # of its ball of a given mass, and the bound, against 50-digit mpmath.
+    # The model cone h = N omega_N avr x^(N-1): log omega_N, its coefficient,
+    # the radius of its ball of a given mass, and both bounds, against 50-digit
+    # mpmath.  Gamma(N/2 + 1) overflows past N ~ 341 and omega_N underflows
+    # past N ~ 450, so from there on log omega_N stands for omega_N and the
+    # coefficient is left out.
     def rel(got, want):
         return abs(mpmath.mpf(got) - want) / abs(want)
 
-    worst = [0.0, 0.0, 0.0]
+    worst = dict.fromkeys(("log_omega", "coefficient", "radius", "bound", "cd_bound"), 0.0)
+
+    def record(name, got, want):
+        worst[name] = max(worst[name], rel(got, want))
+
     with mpmath.workdps(50):
-        for n in (1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 200.0, 340.0):
+        for n in (1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 200.0, 340.0, 345.0, 400.0, 1e3, 1e4):
             nm = mpmath.mpf(n)
-            omega = mpmath.pi ** (nm / 2) / mpmath.gamma(nm / 2 + 1)
+            log_omega = nm / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(nm / 2 + 1)
+            record("log_omega", log_unit_ball_volume(n), log_omega)
             for avr in (1e-8, 3.7e-3, 1.0, 42.0, 1e8):
-                coefficient = nm * omega * mpmath.mpf(avr)
-                worst[0] = max(worst[0], rel(cone_coefficient(n, avr), coefficient))
+                coefficient = nm * mpmath.exp(log_omega) * mpmath.mpf(avr)
+                if n <= 340.0:
+                    record("coefficient", cone_coefficient(n, avr), coefficient)
                 for mass in (1e-8, 0.25, 1.0, 6.1e3, 1e8):
                     mm = mpmath.mpf(mass)
-                    radius = (mm / coefficient) ** (1 / nm)
                     bound = coefficient ** (1 / nm) * mm ** ((nm - 1) / nm)
-                    worst[1] = max(worst[1], rel(cone_radius(n, avr, mass), radius))
-                    worst[2] = max(worst[2], rel(avr_lower_bound(n, avr, mass), bound))
-    assert max(worst) <= 1e-13, worst
+                    record("radius", cone_radius(n, avr, mass), (mm / coefficient) ** (1 / nm))
+                    record("bound", avr_lower_bound(n, avr, mass), bound)
+                    record("cd_bound", cd_lower_bound(n, avr, mass), nm ** ((nm - 1) / nm) * bound)
+    assert max(worst.values()) <= 1e-13, worst
