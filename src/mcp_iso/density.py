@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import require_count, require_dimension
-from .profile import avr_lower_bound, cone_coefficient, cone_radius
+from .profile import avr_lower_bound, cone_radius, log_cone_coefficient
 
 __all__ = [
     "Density",
@@ -265,7 +266,15 @@ class SharpDensity(_PowerPieces):
         _require_positive("mass", self.mass)
         require_dimension(self.N)
         # Derived constants of the model cone, kept out of the dataclass fields.
-        object.__setattr__(self, "tail_coefficient", cone_coefficient(self.N, self.avr))
+        # The tail coefficient must be a normal float: a subnormal one keeps
+        # too few significant bits, and at avr = 1 that happens past N = 438.
+        log_tail = log_cone_coefficient(self.N, self.avr)
+        if not math.log(sys.float_info.min) <= log_tail <= math.log(sys.float_info.max):
+            raise DomainError(
+                f"sharp density at N = {self.N:g}, avr = {self.avr:g}: its tail coefficient "
+                f"N omega_N avr = exp({log_tail:.6g}) is not a normal positive float"
+            )
+        object.__setattr__(self, "tail_coefficient", math.exp(log_tail))
         object.__setattr__(self, "x_star", cone_radius(self.N, self.avr, self.mass))
         object.__setattr__(self, "level", avr_lower_bound(self.N, self.avr, self.mass))
         pieces = ((self.level, 0.0), (self.tail_coefficient, self.N - 1.0))

@@ -83,6 +83,31 @@ def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int)
     return xs, prefix, left_w, right_w
 
 
+def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(values[lo[q]:hi[q]]) for every q, each range non-empty, from a
+    sparse table: row k holds the minima of the runs of 2**k values."""
+    k = np.frexp(hi - lo)[1].astype(np.intp) - 1  # floor(log2(hi - lo))
+    width = len(values)
+    table = np.empty((int(k.max()) + 1, width), dtype=values.dtype)
+    table[0] = values
+    for row in range(1, len(table)):
+        half, runs = 1 << (row - 1), width - (1 << row) + 1
+        np.minimum(table[row - 1, :runs], table[row - 1, half:half + runs], out=table[row, :runs])
+    flat, at = table.ravel(), k * width
+    return np.minimum(flat[at + lo], flat[at + hi - (1 << k)])
+
+
+def _split_on_bit(start: np.ndarray, slot_rank: np.ndarray, b: int, ones_before: np.ndarray):
+    """One level of the join's wavelet matrix: start and slot_rank in the
+    stable order that puts the slots whose start has bit b clear first.
+    ones_before[p] becomes the count of set bits in start[:p]."""
+    bit = (start >> b) & 1
+    np.cumsum(bit, out=ones_before[1:])
+    is_one = bit.astype(bool)
+    order = np.concatenate((np.flatnonzero(~is_one), np.flatnonzero(is_one)))
+    return start[order], slot_rank[order]
+
+
 def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOutcome:
     """Minimal boundary content over grid-aligned interval unions.
 
@@ -94,8 +119,8 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     A component may be one grid point [x_i, x_i], as IntervalUnion allows.
     So where h(0) = 0 a two-component search can report the one-interval
     set [a, b] as [[0.0, 0.0], [a, b]], and sets_examined counts such
-    unions.  The two-component join costs O(M log^2 M) for M candidate
-    intervals, all of it in numpy.
+    unions.  The two-component join, a wavelet matrix over the starts of
+    the M candidate intervals, costs O(M log M * log n) numpy work.
     """
     window = _resolve_window(space, cfg)
     xs, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
@@ -140,50 +165,47 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         # intervals with i2 > j1 and measure in [max(v - tau - m1, 0),
         # v + tau - m1], and find the least (content, i2, j2) among them.
         # Slots order the intervals by measure, so u asks about one slot
-        # range [lo, hi), and ranks order them by (content, i, j).  A static
-        # merge-sort tree answers every range bottom-up: at level l, node t
-        # holds slots [t << l, (t + 1) << l) sorted by descending start, so
-        # "i2 > j1" is a prefix of the node, found by one searchsorted, and a
-        # running max of t * (total + 1) - rank over the node gives the
-        # prefix's least rank.
+        # range [lo, hi), and ranks order them by (content, i, j).  A wavelet
+        # matrix over the slots, keyed by the start i2 < n, answers every
+        # range at once in ceil(log2 n) levels.  Level b splits the slots on
+        # bit b of i2, zeros first, each side in the order of the level above
+        # (the slots of equal higher bits stay contiguous).  A range follows
+        # the side of bit b of j1; where that bit is 0, the range's ones all
+        # have i2 > j1 (their higher bits equal those of j1), so they are
+        # counted and a sparse-table range minimum over the ones' ranks gives
+        # their least rank.  What is left after bit 0 has i2 = j1, no partner.
         total = len(iv_i)
-        slots = np.arange(total)
         slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
         m_sorted = iv_m[slot_iv]
         by_rank = np.argsort(iv_c, kind="stable")  # ties keep (i, j) order
-        rank = np.empty(total, dtype=np.int64)
-        rank[by_rank] = slots
-        slot_rank = rank[slot_iv]
-        slot_after = n - iv_i[slot_iv]  # i2 > j1  <=>  n - i2 <= n - 1 - j1
+        rank = np.empty(total, dtype=np.int32 if total < 2**31 else np.intp)
+        rank[by_rank] = np.arange(total)
 
-        # Queries by descending m1, so lo, hi and the searched keys ascend.
+        # Queries by descending m1, so lo and hi ascend.
         first = slot_iv[::-1]
-        after = n - 1 - iv_j[first]
-        hi_m = v + tau - iv_m[first]
+        j1 = iv_j[first]
         lo = np.searchsorted(m_sorted, np.maximum(v - tau - iv_m[first], 0.0), side="left")
-        hi = np.where(hi_m < 0.0, 0, np.searchsorted(m_sorted, hi_m, side="right"))
-        partners = np.zeros(total, dtype=np.int64)
-        least = np.full(total, total, dtype=np.int64)  # total: no partner
-        level = 0
-        while (live := lo < hi).any():
-            node = slots >> level  # of each slot, and of each position once sorted
-            key = node * (n + 1) + slot_after
-            order = np.argsort(key)
-            key = key[order]
-            run_max = np.maximum.accumulate(node * (total + 1) - slot_rank[order])
-            take_lo = np.flatnonzero(live & (lo & 1 == 1))
-            take_hi = np.flatnonzero(live & (hi & 1 == 1))
-            for take, t in ((take_lo, lo[take_lo]), (take_hi, hi[take_hi] - 1)):
-                p = np.searchsorted(key, t * (n + 1) + after[take], side="right")
-                found = p - (t << level)
-                partners[take] += found
-                node_least = np.where(found > 0, t * (total + 1) - run_max[p - 1], total)
-                least[take] = np.minimum(least[take], node_least)
-            # Step past the taken nodes; a spent range (lo >= hi) stays spent.
-            lo = (lo + 1) >> 1
-            hi >>= 1
-            level += 1
-        examined += int(partners.sum())
+        # An empty range as lo = hi (also where v + tau < m1), which stays empty.
+        hi = np.maximum(np.searchsorted(m_sorted, v + tau - iv_m[first], side="right"), lo)
+        least = np.full(total, total, dtype=np.intp)  # total: no partner
+        start, slot_rank = iv_i[slot_iv], rank[slot_iv]
+        ones_before = np.zeros(total + 1, dtype=np.intp)
+        for b in reversed(range((n - 1).bit_length())):
+            start, slot_rank = _split_on_bit(start, slot_rank, b, ones_before)
+            zero_count = total - ones_before[-1]
+            ones_lo, ones_hi = ones_before[lo], ones_before[hi]
+            # The blends below stand in for np.where, which a mask as
+            # irregular as these bits makes several times slower.
+            follow_ones = (j1 >> b) & 1
+            found = (ones_hi - ones_lo) * (1 - follow_ones)
+            examined += int(found.sum())
+            take = np.flatnonzero(found > 0)
+            if len(take):
+                level_least = _range_min(slot_rank[zero_count:], ones_lo[take], ones_hi[take])
+                least[take] = np.minimum(least[take], level_least)
+            zeros_lo, zeros_hi = lo - ones_lo, hi - ones_hi
+            lo = zeros_lo + follow_ones * (zero_count + ones_lo - zeros_lo)
+            hi = zeros_hi + follow_ones * (zero_count + ones_hi - zeros_hi)
 
         # Best partner per u first, then the least (content, endpoints) over u.
         u = first[least < total]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,19 @@ def test_sharp_gap_passes(capsys):
     import csv as _csv
     gap = float(next(_csv.reader([row]))[idx])
     assert abs(gap) <= 1e-10
+
+
+@pytest.mark.parametrize("avr, N", [("1", "500"), ("1", "439"), ("1e308", "2")])
+def test_sharp_out_of_float_range_is_one_error_line(capsys, avr, N):
+    # The tail coefficient N omega_N avr leaves the normal floats: the
+    # refusal is one error line, with no numpy warning on the way.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "sharp", "--avr", avr, "--mass", "1", "--N", N)
+    assert (code, out, caught) == (1, "", [])
+    (line,) = err.splitlines()
+    assert line.startswith("error: sharp density at N = ")
+    assert f"N = {float(N):g}, avr = {float(avr):g}" in line
 
 
 def test_validate_density_exit_codes(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -99,6 +100,19 @@ def test_sharp_density_geometry():
     assert h(0.5) == pytest.approx(1.0, rel=1e-13)
     assert h(2.0) == pytest.approx(2.0, rel=1e-13)  # tail is x
     assert h.integral(0.0, h.x_star) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_sharp_tail_coefficient_must_be_a_normal_float():
+    # N omega_N avr at avr = 1: 3.2e-308 at N = 438, subnormal from N = 439
+    # and 0 from N = 456; exp(log) overflows at avr = 1e308, N = 2.
+    h = SharpDensity(1.0, 1.0, 438.0)
+    assert h.tail_coefficient == pytest.approx(
+        float(438 * mpmath.pi ** 219 / mpmath.gamma(220)), rel=1e-12
+    )
+    assert h.integral(0.0, h.x_star) == pytest.approx(1.0, rel=1e-12)
+    for avr, N in ((1.0, 439.0), (1.0, 500.0), (1e308, 2.0)):
+        with pytest.raises(DomainError, match=re.escape(f"N = {N:g}, avr = {avr:g}")):
+            SharpDensity(avr, 1.0, N)
 
 
 def test_tabulated_integral_is_exact_trapezoid():

@@ -503,6 +503,17 @@ def test_join_matches_reference_sweep(family):
         _assert_join_matches(space, window, int(n), v, rng.uniform(0.3, 3.0) * gap)
     # A volume within the tolerance of 0 also counts the empty set.
     _assert_join_matches(space, window, int(n), 0.4 * gap, gap)
+    # The join's wavelet matrix has one level per bit of the largest start
+    # n - 1: n = 2^k fills k levels and n = 2^k + 1 opens one more.  One
+    # volume is that of a tail [x_k, x_{n-1}], so intervals ending at the
+    # last grid point (no start lies past them) meet the window.
+    for n in (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65):
+        space, window = _random_space(family, rng)
+        prefix = _grid_and_measures(space, window, n)[1]
+        gap = float(np.diff(prefix).max())
+        tail = float(prefix[-1] - prefix[rng.integers(0, n - 1)])
+        for v in (tail, rng.uniform(0.05, 0.7) * prefix[-1]):
+            _assert_join_matches(space, window, n, v, rng.uniform(0.3, 3.0) * gap)
 
 
 def test_join_matches_reference_sweep_on_tied_partners():
