@@ -42,8 +42,6 @@ _USAGE_ERRORS = (ValueError, TypeError, OverflowError, InfeasibleSearchError)
 
 _SEARCH_FIELDS = set("N avr volumes volume_tolerance grid_points max_components window".split())
 
-# The extremal set meets the bound exactly; its computed gap is rounding only.
-_SHARP_GAP_TOL = 1e-10
 # Samples of min-dimension's search, and validate-density's default, so that
 # the printed minimal dimension passes validate-density.
 _DENSITY_GRID = 512
@@ -62,6 +60,11 @@ def _parse_sweep(text: str, log: bool) -> list[float]:
     n = int(parts[2])
     if n < 1:
         raise DomainError(f"a sweep needs at least one point, got {text!r}")
+    return _sweep(a, b, n, log)
+
+
+def _sweep(a: float, b: float, n: int, log: bool) -> list[float]:
+    """n >= 1 points from finite a to b, log-spaced if log."""
     if n == 1:
         return [a]
     if log:
@@ -133,8 +136,10 @@ def _cmd_profile(args):
 def _cmd_expansion(args):
     if not (0.0 < args.v_min < args.v_max < math.inf):
         raise DomainError(f"need 0 < --v-min < --v-max < inf, got {args.v_min} and {args.v_max}")
+    if args.points < 1:
+        raise DomainError(f"--points must be at least 1, got {args.points}")
     lead = expansion_leading_coefficient(args.N)
-    vs = np.array(_parse_sweep(f"{args.v_max}:{args.v_min}:{args.points}", log=True))
+    vs = np.array(_sweep(args.v_max, args.v_min, args.points, log=True))
     prof = profile_mcp(args.N, 1.0, vs).profile
     ratio = prof / vs ** ((args.N - 1.0) / args.N)
     deviation = np.abs(ratio - lead) / lead
@@ -188,7 +193,7 @@ def _cmd_sharp(args):
     space, extremal = sharp_space(args.avr, args.mass, args.N)
     content = minkowski_content(space, extremal)
     bound = avr_lower_bound(args.N, args.avr, args.mass)
-    gap = content - bound
+    set_measure = measure(space, extremal)
     headers = [
         "avr", "mass", "N", "x_star", "set_measure", "content", "bound", "gap", "density",
     ]
@@ -197,13 +202,15 @@ def _cmd_sharp(args):
         args.mass,
         args.N,
         space.h.x_star,
-        measure(space, extremal),
+        set_measure,
         content,
         bound,
-        gap,
+        content - bound,
         json.dumps(space.h.to_dict()),
     ]
-    return headers, [row], abs(gap) <= _SHARP_GAP_TOL
+    # The set is extremal if it meets the bound at its own measure, up to rounding.
+    own_bound = avr_lower_bound(args.N, args.avr, set_measure)
+    return headers, [row], abs(content - own_bound) <= 1e-12 * own_bound
 
 
 def _cmd_search(args):

@@ -422,15 +422,13 @@ def _validate_domain(D: float) -> float:
     return D
 
 
-def _sample_grid(h: Density, D: float, grid_points: int) -> np.ndarray:
+def _sample_grid(h: Density, D: float, grid_points: int, half_line_end: float) -> np.ndarray:
+    """grid_points even samples over the support of h inside [0, D], ending
+    at half_line_end where both are unbounded, plus the breakpoints inside."""
     lo = max(0.0, h.support_start)
-    if math.isinf(D):
-        hi = h.support_end
-        if math.isinf(hi):
-            bps = h.breakpoints()
-            hi = max(bps) if bps else 1.0
-    else:
-        hi = min(D, h.support_end)
+    hi = min(D, h.support_end)
+    if math.isinf(hi):
+        hi = half_line_end
     if not hi > lo:
         raise DomainError(f"density support [{h.support_start}, {h.support_end}] "
                           f"does not overlap the domain [0, {D}]")
@@ -496,19 +494,20 @@ def _ratio_check(
     and the sample sets (xs, h(xs)) it scans."""
     require_count("grid_points", grid_points, 2)
     # Pairs inside the last piece reduce to its exponent, so on the half line
-    # the pair (b, 2b) at the last breakpoint (b = 1 with none) checks the tail.
-    b = (h._breaks or (1.0,))[-1] if isinstance(h, _PowerPieces) else None
-    tail = [np.array([b, 2.0 * b])] if b is not None and math.isinf(D) else []
+    # the pair (b, 2b) at the last breakpoint (b = 1 with none) checks the
+    # tail, and the sample grid ends at b.
+    b = (h.breakpoints() or (1.0,))[-1]
+    tail = [np.array([b, 2.0 * b])] if isinstance(h, _PowerPieces) and math.isinf(D) else []
     if isinstance(h, (ConstantDensity, MonomialDensity, SharpDensity)):
         # Power against power: the violation factor grows with x1/x0, so one
         # pair decides: the tail pair, or on [0, D] the pair from the sharp
         # weight's switch point to D, else (D/4, D/2) at ratio 2 (below which
         # _RATIO_RTOL calls it rounding dust).
-        pair = [b, D] if h._breaks and D > b else [D / 4.0, D / 2.0]
+        pair = [b, D] if isinstance(h, SharpDensity) and D > b else [D / 4.0, D / 2.0]
         sets, used, status = tail or [np.array(pair)], 0, PASS_EXACT
     else:
         # The samples cover the pairs that straddle the last breakpoint.
-        xs = _sample_grid(h, D, grid_points)
+        xs = _sample_grid(h, D, grid_points, b)
         sets, used, status = [xs] + tail, len(xs), PASS_SAMPLED
     samples = [(xs, h(xs)) for xs in sets]
 

@@ -212,13 +212,9 @@ def expansion_leading_coefficient(N: float) -> float:
 
 
 def log_cone_coefficient(N: float, avr: float) -> float:
-    """log(N omega_N avr) for avr > 0, finite where the coefficient underflows."""
+    """log(N omega_N avr) for avr > 0: the log of the coefficient of the model
+    cone c x^(N-1) with volume ratio avr, finite where c underflows."""
     return math.log(N) + log_unit_ball_volume(N) + math.log(avr)
-
-
-def cone_coefficient(N: float, avr: float) -> float:
-    """Coefficient N omega_N avr of the model cone c x^(N-1) with volume ratio avr > 0."""
-    return math.exp(log_cone_coefficient(N, avr))
 
 
 def cone_radius(N: float, avr: float, mass: float) -> float:

@@ -135,14 +135,14 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         examined += 1
 
     # Every interval [x_i, x_j] light enough to take part, ordered by (i, j):
-    # measure <= v + tau, and with one component also >= v - tau.  That lower
-    # end is widened past the rounding of the prefix sums and then applied
-    # exactly below, so the window loses no interval.
+    # measure <= v + tau, and with one component also >= v - tau.  Both ends
+    # are widened past the rounding of the prefix sums and then applied
+    # exactly below, so the window loses no interval and gains none.
     starts = np.arange(n)
-    j_hi = np.searchsorted(prefix, prefix + v + tau, side="right") - 1
+    widen = 16.0 * np.finfo(float).eps * (np.abs(prefix).max() + abs(v) + tau)
+    j_hi = np.searchsorted(prefix, prefix + (v + tau + widen), side="right") - 1
     j_lo = starts
     if cfg.max_components == 1:
-        widen = 16.0 * np.finfo(float).eps * (np.abs(prefix).max() + abs(v) + tau)
         lower = np.searchsorted(prefix, prefix + (v - tau - widen), side="left")
         j_lo = np.maximum(lower, starts)
     counts = np.maximum(j_hi - j_lo + 1, 0)
@@ -152,7 +152,7 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     iv_c = left_w[iv_i] + right_w[iv_j]
 
     # Single intervals inside the window.
-    singles = iv_m >= v - tau
+    singles = (iv_m >= v - tau) & (iv_m <= v + tau)
     examined += int(singles.sum())
     if singles.any():
         # The intervals come in (i, j) order, so the first least content wins.

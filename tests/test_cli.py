@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mcp_iso
+from mcp_iso import cli
 from mcp_iso.cli import main
 
 
@@ -81,6 +82,22 @@ def test_sharp_gap_passes(capsys):
     import csv as _csv
     gap = float(next(_csv.reader([row]))[idx])
     assert abs(gap) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [0.99, 1.01])
+def test_sharp_fails_on_a_misplaced_set(capsys, monkeypatch, scale):
+    # [0, s x_star] for s != 1 misses the bound at its own measure by about
+    # 5e-3 relative at N = 2: the row is printed and the check exits 2.
+    def misplaced(avr, mass, N):
+        space, _ = mcp_iso.sharp_space(avr, mass, N)
+        return space, mcp_iso.IntervalUnion.of([(0.0, scale * space.h.x_star)])
+
+    monkeypatch.setattr(cli, "sharp_space", misplaced)
+    code, out, _ = run(capsys, "sharp", "--avr", "0.2", "--mass", "1", "--N", "2")
+    assert code == 2
+    header, row = out.splitlines()
+    assert header.startswith("avr,mass,N,x_star,set_measure,")
+    assert row.startswith("0.2,1,2,")
 
 
 @pytest.mark.parametrize("avr, N", [("1", "500"), ("1", "439"), ("1e308", "2")])
@@ -269,6 +286,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2:0"), {}),
         (("profile", "--N", "2", "--D", "1", "--v", "0:0.2:3", "--log"), {}),
         (("expansion", "--N", "2", "--v-min", "0.1", "--v-max", "0.01"), {}),
+        (("expansion", "--N", "2", "--v-min", "1e-8", "--points", "0"), {}),
         (("bounds", "--N", "2", "--avr", "nan", "--mass", "1"), {}),
         (("bounds", "--N", "2", "--avr", "1", "--mass", "nan"), {}),
         (("avr", "--N", "2"), {"--space": None}),
@@ -303,9 +321,9 @@ def run_with_files(capsys, tmp_path, argv, files):
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
         "sweep-two-parts", "sweep-negative-count", "sweep-zero-count", "log-sweep-zero",
-        "expansion-v-range", "bounds-avr-nan", "bounds-mass-nan", "unreadable-file",
-        "n-lo-one", "n-hi-below-n-lo", "volumes-scalar", "volumes-empty", "volumes-empty-sweep",
-        "volumes-without-sweep",
+        "expansion-v-range", "expansion-points-zero", "bounds-avr-nan", "bounds-mass-nan",
+        "unreadable-file", "n-lo-one", "n-hi-below-n-lo", "volumes-scalar", "volumes-empty",
+        "volumes-empty-sweep", "volumes-without-sweep",
         "grid-points-float", "max-components-float", "max-components-bool",
         "volume-tolerance-inf", "volume-tolerance-nan", "avr-nan", "volume-nan",
         "volume-inf", "sweep-inf-endpoint", "log-sweep-inf-endpoint", "expansion-v-max-inf",
@@ -330,16 +348,18 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
         (("localize", "--r", "1", "--R", "8:inf:3"), {"--model": PLANE_MODEL}, "'8:inf:3'"),
         (("search",), search_files(volumes={"sweep": "nan:1:3"}), "'nan:1:3'"),
         (("expansion", "--N", "2", "--v-min", "0.01", "--v-max", "inf"), {}, "--v-max"),
+        (("expansion", "--N", "2", "--v-min", "1e-8", "--points", "0"), {}, "--points"),
         (("search",), search_files(volumes=["inf"]), "volume must be non-negative and finite"),
         (("localize", "--r", "1", "--R", "8:400:3"), {"--model": INFINITE_ANGLE_MODEL},
          "total_angle"),
     ],
-    ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion", "search-volume",
-         "localize-theta"],
+    ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
+         "expansion-points", "search-volume", "localize-theta"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
-    # A non-finite endpoint or volume is reported as given, not as the NaN
-    # or window that computing with it would produce.
+    # A non-finite endpoint or volume, or a point count below 1, is reported
+    # as given, not as the NaN, window or sweep that computing with it would
+    # produce.
     code, _, err = run_with_files(capsys, tmp_path, argv, files)
     assert code == 1
     assert named in err

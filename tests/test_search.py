@@ -22,7 +22,7 @@ from mcp_iso import (
     sharp_space,
     unit_ball_volume,
 )
-from mcp_iso.profile import cone_coefficient, cone_radius
+from mcp_iso.profile import cone_radius, log_cone_coefficient
 from mcp_iso.search import _grid_and_measures, _resolve_window
 
 
@@ -294,16 +294,32 @@ def _random_space(family, rng):
     return WeightedInterval(2.0, h), 2.0
 
 
-@pytest.mark.parametrize("components", [1, 2])
-@pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
-def test_search_matches_naive_enumeration(family, components):
+# (v, tau) on the unit grid of step 0.1 under h = 1, where interval
+# measures such as 0.3 - 0.1 round to either side of an end of the window.
+KNIFE_EDGES = ((0.15, 0.05), (0.19, 0.01), (0.1, 0.1), (0.3, 0.1))
+
+
+def _naive_cases(family, components):
+    """Four seeded (space, window, n, v, tau), and for the constant family
+    the knife-edge windows."""
     rng = np.random.default_rng([components, len(family)])
     for _ in range(4):
         space, window = _random_space(family, rng)
         n = int(rng.integers(8, 32))
-        xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
+        prefix = _grid_and_measures(space, window, n)[1]
         v = rng.uniform(0.05, 0.7) * prefix[-1]
         tau = rng.uniform(0.3, 2.0) * float(np.diff(prefix).max())
+        yield space, window, n, v, tau
+    if family == "constant":
+        for v, tau in KNIFE_EDGES:
+            yield WeightedInterval(1.0, ConstantDensity(1.0)), 1.0, 11, v, tau
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
+def test_search_matches_naive_enumeration(family, components):
+    for space, window, n, v, tau in _naive_cases(family, components):
+        xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
         cfg = SearchConfig(target_volume=v, volume_tolerance=tau, grid_points=n,
                            max_components=components, window=window)
         best, count = naive_search(prefix, left_w, right_w, v, tau, components)
@@ -395,14 +411,15 @@ def reference_join(xs, prefix, left_w, right_w, v, tau):
         examined += 1
 
     starts = np.arange(n)
-    j_hi = np.searchsorted(prefix, prefix + v + tau, side="right") - 1
+    widen = 16.0 * np.finfo(float).eps * (np.abs(prefix).max() + abs(v) + tau)
+    j_hi = np.searchsorted(prefix, prefix + (v + tau + widen), side="right") - 1
     counts = np.maximum(j_hi - starts + 1, 0)
     iv_i = np.repeat(starts, counts)
     iv_j = np.arange(len(iv_i)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
     iv_m = prefix[iv_j] - prefix[iv_i]
     iv_c = left_w[iv_i] + right_w[iv_j]
 
-    singles = iv_m >= v - tau
+    singles = (iv_m >= v - tau) & (iv_m <= v + tau)
     examined += int(singles.sum())
     if singles.any():
         cand_c = iv_c[singles]
@@ -571,7 +588,7 @@ def test_cone_constants_have_one_home(n, avr, mass):
     # The sharp density and the half-line window take the model cone's
     # constants from profile.py, bit for bit.
     h = SharpDensity(avr, mass, n)
-    assert h.tail_coefficient == cone_coefficient(n, avr)
+    assert h.tail_coefficient == math.exp(log_cone_coefficient(n, avr))
     assert h.x_star == cone_radius(n, avr, mass)
     assert h.level == avr_lower_bound(n, avr, mass)
     space = WeightedInterval(math.inf, h)
