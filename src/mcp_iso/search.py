@@ -4,6 +4,16 @@ The search enumerates every union of at most max_components grid-aligned
 closed intervals whose measure falls inside the volume window, and reports
 the one of minimal boundary content.  It makes no claim below grid
 resolution; certify_bound reports the discretization slack of each row.
+
+Two-component unions are counted and searched in two parts.  The count
+joins all M candidate intervals but ranks none of them.  The search for
+the best pair joins only the intervals u with c_u + min(c) <= bound, where
+bound is the content of the best empty or one-interval set (inf if there is
+none): fl(c_u + c_w) <= bound implies that both u and w pass, because
+rounding is monotone, so every pair left out loses to that set.  On the
+needle the best set is mostly one interval [0, r], and few or no intervals
+pass.  Where more than half pass, one join over all intervals gives both
+the count and the best pair.
 """
 
 from __future__ import annotations
@@ -97,15 +107,104 @@ def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.minimum(flat[at + lo], flat[at + hi - (1 << k)])
 
 
-def _split_on_bit(start: np.ndarray, slot_rank: np.ndarray, b: int, ones_before: np.ndarray):
-    """One level of the join's wavelet matrix: start and slot_rank in the
-    stable order that puts the slots whose start has bit b clear first.
-    ones_before[p] becomes the count of set bits in start[:p]."""
-    bit = (start >> b) & 1
-    np.cumsum(bit, out=ones_before[1:])
-    is_one = bit.astype(bool)
-    order = np.concatenate((np.flatnonzero(~is_one), np.flatnonzero(is_one)))
-    return start[order], slot_rank[order]
+def _pair_window(m_sorted, v, tau, widen):
+    """Slot ranges [lo, hi), as the rows of one array, of the partners m2 in
+    m_sorted with v - tau <= fl(m1 + m2) <= v + tau, for each first measure
+    m1 of m_sorted[::-1] (descending, so the search keys ascend).
+
+    The searches run on keys widened past the rounding of m1 + m2, so each
+    end starts at or outside its exact place.  fl(m1 + m2) is monotone in
+    m2, so an end moves inward, one distinct measure at a time, only while
+    the exact test fails; few queries sit that close to an end."""
+    m1 = m_sorted[::-1]
+    bounds = np.empty((2, len(m1)), dtype=np.intp)
+    bounds[0] = np.searchsorted(m_sorted, v - tau - widen - m1, side="left")
+    bounds[1] = np.searchsorted(m_sorted, v + tau + widen - m1, side="right")
+    lo, hi = bounds
+    # m_ext[len(m_sorted)] = inf and m_ext[-1] = -inf stand for the slots
+    # past either end, which end the moves.
+    m_ext = np.concatenate((m_sorted, [math.inf, -math.inf]))
+    out = np.flatnonzero(m1 + m_ext[lo] < v - tau)
+    while len(out):
+        lo[out] = np.searchsorted(m_sorted, m_sorted[lo[out]], side="right")
+        out = out[m1[out] + m_ext[lo[out]] < v - tau]
+    out = np.flatnonzero(m1 + m_ext[hi - 1] > v + tau)
+    while len(out):
+        hi[out] = np.searchsorted(m_sorted, m_sorted[hi[out] - 1], side="left")
+        out = out[m1[out] + m_ext[hi[out] - 1] > v + tau]
+    # An empty range as lo = hi, which stays empty down the levels.
+    np.maximum(hi, lo, out=hi)
+    return bounds
+
+
+def _join(iv_i, iv_j, iv_m, iv_c, n, v, tau, widen, search):
+    """The two-component join over the given intervals, each one both a
+    first interval u = (i1, j1) and a second one.
+
+    Returns the count of pairs with i2 > j1 and v - tau <= m1 + m2 <= v + tau
+    and, if search, for each u that has a partner the least one in
+    (content, i, j) order, as index arrays (u, w); else (count, None, None).
+    The intervals must come in (i, j) order.
+
+    Slots order the intervals by measure, so u asks about one slot range
+    [lo, hi), and ranks order them by (content, i, j).  A wavelet matrix
+    over the slots, keyed by the start i2 < n, answers every range at once
+    in ceil(log2 n) levels.  Level b splits the slots on bit b of i2, zeros
+    first, each side in the order of the level above (the slots of equal
+    higher bits stay contiguous).  A range follows the side of bit b of j1;
+    where that bit is 0, the range's ones all have i2 > j1 (their higher
+    bits equal those of j1), so they are counted and, if search, a
+    sparse-table range minimum over the ones' ranks gives their least rank.
+    What is left after bit 0 has i2 = j1, no partner.
+    """
+    total = len(iv_i)
+    # Starts, counts and ranks are at most total; int32 halves their traffic.
+    small = np.int32 if total < 2**31 else np.intp
+    slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
+    first = slot_iv[::-1]  # queries by descending m1
+    bounds = _pair_window(iv_m[slot_iv], v, tau, widen)
+    j1 = iv_j[first].astype(small)
+    start = iv_i[slot_iv].astype(small)
+    if search:
+        by_rank = np.argsort(iv_c, kind="stable")  # ties keep (i, j) order
+        rank = np.empty(total, dtype=small)
+        rank[by_rank] = np.arange(total)
+        slot_rank = rank[slot_iv]
+        least = np.full(total, total, dtype=np.intp)  # total: no partner
+    examined = 0
+    ones_before = np.zeros(total + 1, dtype=small)
+    for b in reversed(range((n - 1).bit_length())):
+        # Stable order putting the slots whose start has bit b clear first;
+        # ones_before[p] counts the set bits in start[:p].
+        bit = (start >> b) & 1
+        np.cumsum(bit, out=ones_before[1:])
+        is_one = bit.astype(bool)
+        order = np.concatenate((np.flatnonzero(~is_one), np.flatnonzero(is_one)))
+        start = start[order]
+        zero_count = total - int(ones_before[-1])
+        ones = ones_before[bounds]
+        follow_ones = (j1 >> b) & 1
+        found = ones[1] - ones[0]
+        found *= 1 - follow_ones
+        examined += int(found.sum())
+        if search:
+            slot_rank = slot_rank[order]
+            take = np.flatnonzero(found)
+            if len(take):
+                level_least = _range_min(slot_rank[zero_count:], ones[0, take], ones[1, take])
+                least[take] = np.minimum(least[take], level_least)
+        # A bound p moves to p - ones among the zeros or to zero_count + ones
+        # among the ones.  Blending in place stands in for np.where, which a
+        # mask as irregular as these bits makes several times slower.
+        bounds -= ones
+        ones += zero_count
+        ones -= bounds
+        ones *= follow_ones
+        bounds += ones
+    if not search:
+        return examined, None, None
+    has = least < total
+    return examined, first[has], by_rank[least[has]]
 
 
 def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOutcome:
@@ -119,8 +218,15 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     A component may be one grid point [x_i, x_i], as IntervalUnion allows.
     So where h(0) = 0 a two-component search can report the one-interval
     set [a, b] as [[0.0, 0.0], [a, b]], and sets_examined counts such
-    unions.  The two-component join, a wavelet matrix over the starts of
-    the M candidate intervals, costs O(M log M * log n) numpy work.
+    unions.
+
+    The two-component join, a wavelet matrix over the starts of the M
+    candidate intervals, costs O(M log M * log n) numpy work.  It runs as a
+    count over all M intervals, without ranks or range minima, and a search
+    over the K intervals light enough in content to beat the best single
+    set (see the module docstring); where K > M / 2 one full join does
+    both.  A pair meets the window when v - tau <= fl(m1 + m2) <= v + tau,
+    the test the naive enumeration applies.
     """
     window = _resolve_window(space, cfg)
     xs, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
@@ -161,55 +267,22 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         candidates.append((float(iv_c[k]), (float(xs[iv_i[k]]), float(xs[iv_j[k]]))))
 
     if cfg.max_components == 2 and len(iv_i) > 0:
-        # Join every first interval u = (i1, j1) at once: count the second
-        # intervals with i2 > j1 and measure in [max(v - tau - m1, 0),
-        # v + tau - m1], and find the least (content, i2, j2) among them.
-        # Slots order the intervals by measure, so u asks about one slot
-        # range [lo, hi), and ranks order them by (content, i, j).  A wavelet
-        # matrix over the slots, keyed by the start i2 < n, answers every
-        # range at once in ceil(log2 n) levels.  Level b splits the slots on
-        # bit b of i2, zeros first, each side in the order of the level above
-        # (the slots of equal higher bits stay contiguous).  A range follows
-        # the side of bit b of j1; where that bit is 0, the range's ones all
-        # have i2 > j1 (their higher bits equal those of j1), so they are
-        # counted and a sparse-table range minimum over the ones' ranks gives
-        # their least rank.  What is left after bit 0 has i2 = j1, no partner.
-        total = len(iv_i)
-        slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
-        m_sorted = iv_m[slot_iv]
-        by_rank = np.argsort(iv_c, kind="stable")  # ties keep (i, j) order
-        rank = np.empty(total, dtype=np.int32 if total < 2**31 else np.intp)
-        rank[by_rank] = np.arange(total)
-
-        # Queries by descending m1, so lo and hi ascend.
-        first = slot_iv[::-1]
-        j1 = iv_j[first]
-        lo = np.searchsorted(m_sorted, np.maximum(v - tau - iv_m[first], 0.0), side="left")
-        # An empty range as lo = hi (also where v + tau < m1), which stays empty.
-        hi = np.maximum(np.searchsorted(m_sorted, v + tau - iv_m[first], side="right"), lo)
-        least = np.full(total, total, dtype=np.intp)  # total: no partner
-        start, slot_rank = iv_i[slot_iv], rank[slot_iv]
-        ones_before = np.zeros(total + 1, dtype=np.intp)
-        for b in reversed(range((n - 1).bit_length())):
-            start, slot_rank = _split_on_bit(start, slot_rank, b, ones_before)
-            zero_count = total - ones_before[-1]
-            ones_lo, ones_hi = ones_before[lo], ones_before[hi]
-            # The blends below stand in for np.where, which a mask as
-            # irregular as these bits makes several times slower.
-            follow_ones = (j1 >> b) & 1
-            found = (ones_hi - ones_lo) * (1 - follow_ones)
-            examined += int(found.sum())
-            take = np.flatnonzero(found > 0)
-            if len(take):
-                level_least = _range_min(slot_rank[zero_count:], ones_lo[take], ones_hi[take])
-                least[take] = np.minimum(least[take], level_least)
-            zeros_lo, zeros_hi = lo - ones_lo, hi - ones_hi
-            lo = zeros_lo + follow_ones * (zero_count + ones_lo - zeros_lo)
-            hi = zeros_hi + follow_ones * (zero_count + ones_hi - zeros_hi)
+        # Only a pair of kept intervals can beat or tie the best set so far
+        # (module docstring); the count needs all of them but no ranks.
+        bound = min(candidates)[0] if candidates else math.inf
+        kept = np.flatnonzero(iv_c + iv_c.min() <= bound)
+        arrays = (iv_i, iv_j, iv_m, iv_c)
+        if 2 * len(kept) > len(iv_i):  # one join over all, not two passes
+            pairs, u, w = _join(*arrays, n, v, tau, widen, search=True)
+        else:
+            pairs, _, _ = _join(*arrays, n, v, tau, widen, search=False)
+            u = w = kept[:0]
+            if len(kept):
+                _, u, w = _join(*(a[kept] for a in arrays), n, v, tau, widen, search=True)
+                u, w = kept[u], kept[w]
+        examined += pairs
 
         # Best partner per u first, then the least (content, endpoints) over u.
-        u = first[least < total]
-        w = by_rank[least[least < total]]
         finite = iv_c[w] < math.inf  # a partner of infinite content is no candidate
         u, w = u[finite], w[finite]
         if len(u):

@@ -23,7 +23,7 @@ from mcp_iso import (
     unit_ball_volume,
 )
 from mcp_iso.profile import cone_radius, log_cone_coefficient
-from mcp_iso.search import _grid_and_measures, _resolve_window
+from mcp_iso.search import _grid_and_measures, _join, _resolve_window
 
 
 def unit_space():
@@ -297,11 +297,14 @@ def _random_space(family, rng):
 # (v, tau) on the unit grid of step 0.1 under h = 1, where interval
 # measures such as 0.3 - 0.1 round to either side of an end of the window.
 KNIFE_EDGES = ((0.15, 0.05), (0.19, 0.01), (0.1, 0.1), (0.3, 0.1))
+# (D, n, v, tau) under h = 1 where a sum of two measures rounds onto an end
+# of the window that neither partner's own measure decides.
+PAIR_KNIFE_EDGES = ((1.0, 11, 0.28, 0.02), (1.0, 11, 0.4, 0.1), (0.6, 7, 0.1, 0.1))
 
 
 def _naive_cases(family, components):
     """Four seeded (space, window, n, v, tau), and for the constant family
-    the knife-edge windows."""
+    the knife-edge windows of one and of two components."""
     rng = np.random.default_rng([components, len(family)])
     for _ in range(4):
         space, window = _random_space(family, rng)
@@ -313,6 +316,8 @@ def _naive_cases(family, components):
     if family == "constant":
         for v, tau in KNIFE_EDGES:
             yield WeightedInterval(1.0, ConstantDensity(1.0)), 1.0, 11, v, tau
+        for D, n, v, tau in PAIR_KNIFE_EDGES:
+            yield WeightedInterval(D, ConstantDensity(1.0)), D, n, v, tau
 
 
 @pytest.mark.parametrize("components", [1, 2])
@@ -459,12 +464,13 @@ def reference_join(xs, prefix, left_w, right_w, v, tau):
             for t in range(g_lo, g_hi):
                 u = int(order_j[t])
                 m1 = float(iv_m[u])
-                hi_m = v + tau - m1
-                if hi_m < 0.0:
-                    continue
-                lo_m = max(v - tau - m1, 0.0)
-                a = int(np.searchsorted(m_sorted, lo_m, side="left"))
-                b = int(np.searchsorted(m_sorted, hi_m, side="right"))
+                # Partners with v - tau <= m1 + m2 <= v + tau, exactly.
+                a = int(np.searchsorted(m_sorted, v - tau - widen - m1, side="left"))
+                while a < len(m_sorted) and m1 + m_sorted[a] < v - tau:
+                    a += 1
+                b = int(np.searchsorted(m_sorted, v + tau + widen - m1, side="right"))
+                while b > a and m1 + m_sorted[b - 1] > v + tau:
+                    b -= 1
                 if a >= b:
                     continue
                 val, count = tree.query(a, b)
@@ -542,6 +548,55 @@ def test_join_matches_reference_sweep_on_tied_partners():
     h = PiecewiseMonomialDensity((1.0,), ((1.0, 2.0), (1.0, 0.0)))
     out = _assert_join_matches(WeightedInterval(2.0, h), 2.0, 81, 0.6, 0.1)
     assert out.best_set.components[0] == (0.0, 0.0)
+
+
+@pytest.fixture
+def join_calls(monkeypatch):
+    """(intervals, search) of every call of the join, each call also checked
+    to count as many pairs without the search as with it."""
+    calls = []
+
+    def checked(iv_i, *args, search):
+        counted = _join(iv_i, *args, search=False)
+        full = _join(iv_i, *args, search=True)
+        assert counted[0] == full[0]
+        calls.append((len(iv_i), search))
+        return full if search else counted
+
+    monkeypatch.setattr("mcp_iso.search._join", checked)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
+def test_join_count_part_matches_full_join(family, join_calls):
+    test_join_matches_reference_sweep(family)
+    assert join_calls
+
+
+def test_join_without_a_single_searches_all_intervals_once(join_calls):
+    # No single interval meets the window: tau is half the least miss of
+    # any single measure, so nothing bounds the pair and nothing is pruned.
+    space, n, v = WeightedInterval(1.0, MonomialDensity(1.0, 1.0)), 96, 0.2325
+    prefix = _grid_and_measures(space, 1.0, n)[1]
+    tau = 0.5 * np.abs((prefix[None, :] - prefix[:, None])[np.triu_indices(n)] - v).min()
+    out = _assert_join_matches(space, 1.0, n, v, tau)
+    assert len(out.best_set.components) == 2
+    assert [searched for _, searched in join_calls] == [True]
+
+
+def test_pruned_join_finds_the_winning_pair(join_calls):
+    # The space of test_two_component_optimum_is_found: the best single sets
+    # the bound, the count runs over all intervals and the search over the
+    # ones cheap enough to beat it, under half of them, and a pair wins.
+    h = PiecewiseMonomialDensity(
+        (1.0, 2.0, 4.0),
+        ((1.0, 0.0), (1.0, 6.0), (4096.0, -6.0), (1.0, 0.0)),
+    )
+    out = _assert_join_matches(WeightedInterval(5.0, h), 5.0, 256, 2.0, 0.02)
+    assert len(out.best_set.components) == 2
+    (total, counted), (kept, searched) = join_calls
+    assert (counted, searched) == (False, True)
+    assert 0 < kept < total / 2
 
 
 def _assert_matches_naive_and_reference(space, window, n, v, tau):
