@@ -20,7 +20,7 @@ import numpy as np
 
 from . import localization as loc
 from . import search as search_mod
-from .density import _ratio_check, check_mcp_density, minimal_mcp_dimension
+from .density import check_mcp_density, minimal_mcp_dimension
 from .errors import DomainError, InfeasibleSearchError
 from .profile import (
     avr_lower_bound,
@@ -168,10 +168,10 @@ def _cmd_min_dimension(args):
     # check that the result passes; then the next value up at that precision
     # is shown instead, which passes, as the passing set is upward closed.
     shown = Decimal(format(result, f".{args.precision}g"))
-    if shown < result:
-        check = _ratio_check(space.h, space.D, _DENSITY_GRID)[0]
-        if not (shown > 1 and check(float(shown)).passed):
-            shown = shown.next_plus(Context(prec=args.precision))
+    if shown < result and not (
+        shown > 1 and check_mcp_density(space.h, space.D, float(shown), _DENSITY_GRID).passed
+    ):
+        shown = shown.next_plus(Context(prec=args.precision))
     return headers, [[float(shown)]], True
 
 

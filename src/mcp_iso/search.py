@@ -2,8 +2,10 @@
 
 The search enumerates every union of at most max_components grid-aligned
 closed intervals whose measure falls inside the volume window, and reports
-the one of minimal boundary content.  It makes no claim below grid
-resolution; certify_bound reports the discretization slack of each row.
+the one of minimal boundary content.  One helper, _window, decides that
+window exactly, for single intervals and pairs alike, as a naive
+enumeration would.  It makes no claim below grid resolution; certify_bound
+reports the discretization slack of each row.
 
 Two-component unions are counted and searched in two parts.  The count
 joins all M candidate intervals but ranks none of them.  The search for
@@ -107,54 +109,54 @@ def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.minimum(flat[at + lo], flat[at + hi - (1 << k)])
 
 
-def _pair_window(m_sorted, v, tau, widen):
-    """Slot ranges [lo, hi), as the rows of one array, of the partners m2 in
-    m_sorted with v - tau <= fl(m1 + m2) <= v + tau, for each first measure
-    m1 of m_sorted[::-1] (descending, so the search keys ascend).
+def _window(x, a, v, tau):
+    """For each offset in the monotone array a, the slot range [lo, hi) of
+    the k with v - tau <= fl(a + x[k]) <= v + tau in the ascending array x,
+    as the rows (lo, hi) of one array; lo <= hi, as fl(v - tau) <= fl(v + tau).
 
-    The searches run on keys widened past the rounding of m1 + m2, so each
-    end starts at or outside its exact place.  fl(m1 + m2) is monotone in
-    m2, so an end moves inward, one distinct measure at a time, only while
+    The searches run on keys widened past the rounding of a + x[k], so each
+    end starts at or outside its exact place.  fl(a + x[k]) is monotone in
+    x[k], so an end moves inward, one distinct value at a time, only while
     the exact test fails; few queries sit that close to an end."""
-    m1 = m_sorted[::-1]
-    bounds = np.empty((2, len(m1)), dtype=np.intp)
-    bounds[0] = np.searchsorted(m_sorted, v - tau - widen - m1, side="left")
-    bounds[1] = np.searchsorted(m_sorted, v + tau + widen - m1, side="right")
+    ends = np.abs([x[0], x[-1], a[0], a[-1]])  # |x| and |a| peak at their ends
+    widen = 16.0 * np.finfo(float).eps * (ends[:2].max() + ends[2:].max() + abs(v) + tau)
+    bounds = np.empty((2, len(a)), dtype=np.intp)
+    bounds[0] = np.searchsorted(x, v - tau - widen - a, side="left")
+    bounds[1] = np.searchsorted(x, v + tau + widen - a, side="right")
     lo, hi = bounds
-    # m_ext[len(m_sorted)] = inf and m_ext[-1] = -inf stand for the slots
-    # past either end, which end the moves.
-    m_ext = np.concatenate((m_sorted, [math.inf, -math.inf]))
-    out = np.flatnonzero(m1 + m_ext[lo] < v - tau)
+    # x_ext[len(x)] = inf and x_ext[-1] = -inf stand for the slots past
+    # either end, which end the moves.
+    x_ext = np.concatenate((x, [math.inf, -math.inf]))
+    out = np.flatnonzero(a + x_ext[lo] < v - tau)
     while len(out):
-        lo[out] = np.searchsorted(m_sorted, m_sorted[lo[out]], side="right")
-        out = out[m1[out] + m_ext[lo[out]] < v - tau]
-    out = np.flatnonzero(m1 + m_ext[hi - 1] > v + tau)
+        lo[out] = np.searchsorted(x, x[lo[out]], side="right")
+        out = out[a[out] + x_ext[lo[out]] < v - tau]
+    out = np.flatnonzero(a + x_ext[hi - 1] > v + tau)
     while len(out):
-        hi[out] = np.searchsorted(m_sorted, m_sorted[hi[out] - 1], side="left")
-        out = out[m1[out] + m_ext[hi[out] - 1] > v + tau]
-    # An empty range as lo = hi, which stays empty down the levels.
-    np.maximum(hi, lo, out=hi)
+        hi[out] = np.searchsorted(x, x[hi[out] - 1], side="left")
+        out = out[a[out] + x_ext[hi[out] - 1] > v + tau]
     return bounds
 
 
-def _join(iv_i, iv_j, iv_m, iv_c, n, v, tau, widen, search):
+def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
     """The two-component join over the given intervals, each one both a
     first interval u = (i1, j1) and a second one.
 
     Returns the count of pairs with i2 > j1 and v - tau <= m1 + m2 <= v + tau
     and, if search, for each u that has a partner the least one in
     (content, i, j) order, as index arrays (u, w); else (count, None, None).
-    The intervals must come in (i, j) order.
+    The intervals, at least one, must come in (i, j) order.
 
     Slots order the intervals by measure, so u asks about one slot range
     [lo, hi), and ranks order them by (content, i, j).  A wavelet matrix
-    over the slots, keyed by the start i2 < n, answers every range at once
-    in ceil(log2 n) levels.  Level b splits the slots on bit b of i2, zeros
-    first, each side in the order of the level above (the slots of equal
-    higher bits stay contiguous).  A range follows the side of bit b of j1;
-    where that bit is 0, the range's ones all have i2 > j1 (their higher
-    bits equal those of j1), so they are counted and, if search, a
-    sparse-table range minimum over the ones' ranks gives their least rank.
+    over the slots, keyed by the start i2, answers every range at once in
+    one level per bit of the largest end j (no start exceeds it).  Level b
+    splits the slots on bit b of i2, zeros first, each side in the order of
+    the level above (the slots of equal higher bits stay contiguous).  A
+    range follows the side of bit b of j1; where that bit is 0, the range's
+    ones all have i2 > j1 (their higher bits equal those of j1), so they are
+    counted and, if search, a sparse-table range minimum over the ones'
+    ranks gives their least rank.
     What is left after bit 0 has i2 = j1, no partner.
     """
     total = len(iv_i)
@@ -162,7 +164,8 @@ def _join(iv_i, iv_j, iv_m, iv_c, n, v, tau, widen, search):
     small = np.int32 if total < 2**31 else np.intp
     slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
     first = slot_iv[::-1]  # queries by descending m1
-    bounds = _pair_window(iv_m[slot_iv], v, tau, widen)
+    m_sorted = iv_m[slot_iv]
+    bounds = _window(m_sorted, m_sorted[::-1], v, tau)
     j1 = iv_j[first].astype(small)
     start = iv_i[slot_iv].astype(small)
     if search:
@@ -173,7 +176,7 @@ def _join(iv_i, iv_j, iv_m, iv_c, n, v, tau, widen, search):
         least = np.full(total, total, dtype=np.intp)  # total: no partner
     examined = 0
     ones_before = np.zeros(total + 1, dtype=small)
-    for b in reversed(range((n - 1).bit_length())):
+    for b in reversed(range(int(iv_j.max()).bit_length())):
         # Stable order putting the slots whose start has bit b clear first;
         # ones_before[p] counts the set bits in start[:p].
         bit = (start >> b) & 1
@@ -225,8 +228,8 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     count over all M intervals, without ranks or range minima, and a search
     over the K intervals light enough in content to beat the best single
     set (see the module docstring); where K > M / 2 one full join does
-    both.  A pair meets the window when v - tau <= fl(m1 + m2) <= v + tau,
-    the test the naive enumeration applies.
+    both.  _window decides exactly which intervals and pairs meet the
+    window, v - tau <= fl(m) <= v + tau, as the naive enumeration does.
     """
     window = _resolve_window(space, cfg)
     xs, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
@@ -240,45 +243,41 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         candidates.append((0.0, ()))
         examined += 1
 
-    # Every interval [x_i, x_j] light enough to take part, ordered by (i, j):
-    # measure <= v + tau, and with one component also >= v - tau.  Both ends
-    # are widened past the rounding of the prefix sums and then applied
-    # exactly below, so the window loses no interval and gains none.
+    # Every interval [x_i, x_j], j >= i, light enough to take part, in (i, j)
+    # order: j < hi[i], exactly where fl(prefix[j] - prefix[i]), which is
+    # fl(-prefix[i] + prefix[j]), is <= v + tau (so hi[i] > i), and with one
+    # component also j >= lo[i].  As measures are >= 0, an interval past
+    # v + tau is in no pair either: fl(m1 + m2) >= m1.
     starts = np.arange(n)
-    widen = 16.0 * np.finfo(float).eps * (np.abs(prefix).max() + abs(v) + tau)
-    j_hi = np.searchsorted(prefix, prefix + (v + tau + widen), side="right") - 1
-    j_lo = starts
-    if cfg.max_components == 1:
-        lower = np.searchsorted(prefix, prefix + (v - tau - widen), side="left")
-        j_lo = np.maximum(lower, starts)
-    counts = np.maximum(j_hi - j_lo + 1, 0)
+    lo, hi = _window(prefix, -prefix, v, tau)
+    j_lo = np.maximum(lo, starts) if cfg.max_components == 1 else starts
+    counts = hi - j_lo
     iv_i = np.repeat(starts, counts)
     iv_j = np.arange(len(iv_i)) - np.repeat(np.cumsum(counts) - counts - j_lo, counts)
-    iv_m = prefix[iv_j] - prefix[iv_i]
     iv_c = left_w[iv_i] + right_w[iv_j]
 
     # Single intervals inside the window.
-    singles = (iv_m >= v - tau) & (iv_m <= v + tau)
-    examined += int(singles.sum())
-    if singles.any():
+    single = np.flatnonzero(iv_j >= lo[iv_i])
+    examined += len(single)
+    if len(single):
         # The intervals come in (i, j) order, so the first least content wins.
-        single = np.flatnonzero(singles)
         k = single[np.argmin(iv_c[single])]
         candidates.append((float(iv_c[k]), (float(xs[iv_i[k]]), float(xs[iv_j[k]]))))
 
-    if cfg.max_components == 2 and len(iv_i) > 0:
+    if cfg.max_components == 2:
+        iv_m = prefix[iv_j] - prefix[iv_i]
         # Only a pair of kept intervals can beat or tie the best set so far
         # (module docstring); the count needs all of them but no ranks.
         bound = min(candidates)[0] if candidates else math.inf
         kept = np.flatnonzero(iv_c + iv_c.min() <= bound)
         arrays = (iv_i, iv_j, iv_m, iv_c)
         if 2 * len(kept) > len(iv_i):  # one join over all, not two passes
-            pairs, u, w = _join(*arrays, n, v, tau, widen, search=True)
+            pairs, u, w = _join(*arrays, v, tau, search=True)
         else:
-            pairs, _, _ = _join(*arrays, n, v, tau, widen, search=False)
+            pairs, _, _ = _join(*arrays, v, tau, search=False)
             u = w = kept[:0]
             if len(kept):
-                _, u, w = _join(*(a[kept] for a in arrays), n, v, tau, widen, search=True)
+                _, u, w = _join(*(a[kept] for a in arrays), v, tau, search=True)
                 u, w = kept[u], kept[w]
         examined += pairs
 

@@ -23,7 +23,7 @@ from mcp_iso import (
     unit_ball_volume,
 )
 from mcp_iso.profile import cone_radius, log_cone_coefficient
-from mcp_iso.search import _grid_and_measures, _join, _resolve_window
+from mcp_iso.search import _grid_and_measures, _join, _resolve_window, _window
 
 
 def unit_space():
@@ -318,6 +318,50 @@ def _naive_cases(family, components):
             yield WeightedInterval(1.0, ConstantDensity(1.0)), 1.0, 11, v, tau
         for D, n, v, tau in PAIR_KNIFE_EDGES:
             yield WeightedInterval(D, ConstantDensity(1.0)), D, n, v, tau
+
+
+def _assert_window(x, a, v, tau):
+    """_window(x, a, v, tau) against the test v - tau <= fl(a + x[k]) <= v + tau
+    made at every k: each range holds exactly the k that pass, and starts
+    after the k whose sums fall below the window, so an empty one too."""
+    x, a = np.asarray(x, dtype=float), np.asarray(a, dtype=float)
+    lo, hi = _window(x, a, v, tau)
+    ranges = []
+    for offset, lo_k, hi_k in zip(a.tolist(), lo.tolist(), hi.tolist()):
+        sums = [offset + xk for xk in x.tolist()]
+        inside = [k for k, s in enumerate(sums) if v - tau <= s <= v + tau]
+        assert inside == list(range(lo_k, hi_k))
+        assert lo_k == sum(s < v - tau for s in sums)
+        ranges.append((lo_k, hi_k))
+    return ranges
+
+
+def test_window_matches_the_test_at_every_slot():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        # Runs of equal values on a step of 0.1, and windows on steps of 0.05:
+        # sums such as 0.1 + 0.2 round to either side of an end.
+        values = np.sort(rng.choice(np.arange(-10, 11), int(rng.integers(1, 8)), replace=False))
+        x = np.repeat(values * 0.1, rng.integers(1, 4, len(values)))
+        a = np.sort(rng.integers(-10, 11, int(rng.integers(1, 6))) * 0.1)
+        v, tau = rng.integers(0, 21) * 0.05, rng.integers(1, 5) * 0.05
+        # Offsets of both signs, either order, and a = -x as for single
+        # intervals, a = x[::-1] as for pairs.
+        for offsets in (a, a[::-1], -x, x[::-1]):
+            _assert_window(x, offsets, v, tau)
+
+
+def test_window_on_exact_ends_empty_windows_and_one_slot():
+    # Dyadic values: every sum is exact, and some hit an end of [0.5, 0.75].
+    x = np.repeat([0.25, 0.5, 0.75, 1.0], [2, 3, 1, 2])
+    assert _assert_window(x, [-0.25, 0.0, 0.25], 0.625, 0.125) == [(5, 8), (2, 6), (0, 5)]
+    # Runs of equal values at both ends of [0.1, fl(0.2 + 0.1)].
+    x = [0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.5, 0.5]
+    assert _assert_window(x, [0.0], 0.2, 0.1) == [(0, 6)]
+    # Windows between two values, below all and above all.
+    assert _assert_window([0.0, 1.0], [-2.0, 0.0, 2.0], 0.5, 0.25) == [(2, 2), (1, 1), (0, 0)]
+    # One slot: inside, below and above the window.
+    assert _assert_window([0.3], [-0.3, 0.0, 0.1], 0.3, 0.05) == [(1, 1), (0, 1), (0, 0)]
 
 
 @pytest.mark.parametrize("components", [1, 2])
