@@ -1,11 +1,14 @@
 """Brute-force boundary-minimization oracle over grid-aligned interval unions.
 
-The search enumerates every union of at most max_components grid-aligned
+The search covers every union of at most max_components grid-aligned
 closed intervals whose measure falls inside the volume window, and reports
 the one of minimal boundary content.  One helper, _window, decides that
 window exactly, for single intervals and pairs alike, as a naive
 enumeration would.  It makes no claim below grid resolution; certify_bound
 reports the discretization slack of each row.
+
+Single intervals are not listed: a sparse-table range minimum of the
+right-end weights over each start's window gives its least content.
 
 Two-component unions are counted and searched in two parts.  The count
 joins all M candidate intervals but ranks none of them.  The search for
@@ -213,7 +216,7 @@ def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
 def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOutcome:
     """Minimal boundary content over grid-aligned interval unions.
 
-    Enumerates all unions of <= max_components intervals with endpoints on
+    Searches all unions of <= max_components intervals with endpoints on
     the grid whose measure lies within volume_tolerance of target_volume.
     Ties in content go to the lexicographically smallest endpoint list;
     sets_examined counts the candidates that met the volume window.
@@ -223,18 +226,16 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     set [a, b] as [[0.0, 0.0], [a, b]], and sets_examined counts such
     unions.
 
-    The two-component join, a wavelet matrix over the starts of the M
-    candidate intervals, costs O(M log M * log n) numpy work.  It runs as a
-    count over all M intervals, without ranks or range minima, and a search
-    over the K intervals light enough in content to beat the best single
-    set (see the module docstring); where K > M / 2 one full join does
-    both.  _window decides exactly which intervals and pairs meet the
-    window, v - tau <= fl(m) <= v + tau, as the naive enumeration does.
+    One component costs O(n log w) time and memory on n grid points, w the
+    widest window of one start, with no interval arrays.  Two components
+    list the M intervals light enough for a pair, for the join only: a
+    wavelet matrix over their starts, O(M log M * log n) numpy work in two
+    parts (module docstring).  _window decides exactly which intervals and
+    pairs meet the window, v - tau <= fl(m) <= v + tau, as naive enumeration.
     """
     window = _resolve_window(space, cfg)
     xs, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
     v, tau = cfg.target_volume, cfg.volume_tolerance
-    n = len(xs)
 
     # (content, endpoints) of the best empty, one- and two-component sets; the least wins.
     candidates: list[tuple[float, tuple[float, ...]]] = []
@@ -243,28 +244,27 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         candidates.append((0.0, ()))
         examined += 1
 
-    # Every interval [x_i, x_j], j >= i, light enough to take part, in (i, j)
-    # order: j < hi[i], exactly where fl(prefix[j] - prefix[i]), which is
-    # fl(-prefix[i] + prefix[j]), is <= v + tau (so hi[i] > i), and with one
-    # component also j >= lo[i].  As measures are >= 0, an interval past
-    # v + tau is in no pair either: fl(m1 + m2) >= m1.
-    starts = np.arange(n)
+    # [x_i, x_j] meets the window exactly where max(lo[i], i) <= j < hi[i],
+    # as fl(prefix[j] - prefix[i]) is fl(-prefix[i] + prefix[j]).
+    starts = np.arange(len(xs))
     lo, hi = _window(prefix, -prefix, v, tau)
-    j_lo = np.maximum(lo, starts) if cfg.max_components == 1 else starts
-    counts = hi - j_lo
-    iv_i = np.repeat(starts, counts)
-    iv_j = np.arange(len(iv_i)) - np.repeat(np.cumsum(counts) - counts - j_lo, counts)
-    iv_c = left_w[iv_i] + right_w[iv_j]
-
-    # Single intervals inside the window.
-    single = np.flatnonzero(iv_j >= lo[iv_i])
-    examined += len(single)
-    if len(single):
-        # The intervals come in (i, j) order, so the first least content wins.
-        k = single[np.argmin(iv_c[single])]
-        candidates.append((float(iv_c[k]), (float(xs[iv_i[k]]), float(xs[iv_j[k]]))))
+    j_lo = np.maximum(lo, starts)
+    rows = np.flatnonzero(hi > j_lo)
+    examined += int((hi[rows] - j_lo[rows]).sum())
+    if len(rows):
+        # fl(left_w[i] + r) is monotone in r.  The first row of least content
+        # wins, and in it the first j of least rounded sum: (i, j) tie order.
+        i = rows[np.argmin(left_w[rows] + _range_min(right_w, j_lo[rows], hi[rows]))]
+        j = j_lo[i] + np.argmin(left_w[i] + right_w[j_lo[i]:hi[i]])
+        candidates.append((float(left_w[i] + right_w[j]), (float(xs[i]), float(xs[j]))))
 
     if cfg.max_components == 2:
+        # Every interval j < hi[i] (hi[i] > i) in (i, j) order.  Measures
+        # are >= 0, so one past v + tau is in no pair: fl(m1 + m2) >= m1.
+        counts = hi - starts
+        iv_i = np.repeat(starts, counts)
+        iv_j = np.arange(len(iv_i)) - np.repeat(np.cumsum(counts) - hi, counts)
+        iv_c = left_w[iv_i] + right_w[iv_j]
         iv_m = prefix[iv_j] - prefix[iv_i]
         # Only a pair of kept intervals can beat or tie the best set so far
         # (module docstring); the count needs all of them but no ranks.

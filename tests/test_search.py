@@ -1,6 +1,7 @@
 """Brute-force search: enumeration, tie-breaking, certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mcp_iso import (
     unit_ball_volume,
 )
 from mcp_iso.profile import cone_radius, log_cone_coefficient
-from mcp_iso.search import _grid_and_measures, _join, _resolve_window, _window
+from mcp_iso.search import _grid_and_measures, _join, _range_min, _resolve_window, _window
 
 
 def unit_space():
@@ -303,8 +304,9 @@ PAIR_KNIFE_EDGES = ((1.0, 11, 0.28, 0.02), (1.0, 11, 0.4, 0.1), (0.6, 7, 0.1, 0.
 
 
 def _naive_cases(family, components):
-    """Four seeded (space, window, n, v, tau), and for the constant family
-    the knife-edge windows of one and of two components."""
+    """Four seeded (space, window, n, v, tau), for the constant family the
+    knife-edge windows of one and of two components, and for one component
+    two wide windows (tau up to 0.4 of the mass, up to 300 grid points)."""
     rng = np.random.default_rng([components, len(family)])
     for _ in range(4):
         space, window = _random_space(family, rng)
@@ -318,6 +320,11 @@ def _naive_cases(family, components):
             yield WeightedInterval(1.0, ConstantDensity(1.0)), 1.0, 11, v, tau
         for D, n, v, tau in PAIR_KNIFE_EDGES:
             yield WeightedInterval(D, ConstantDensity(1.0)), D, n, v, tau
+    for _ in range(2 if components == 1 else 0):
+        space, window = _random_space(family, rng)
+        n = int(rng.integers(100, 301))
+        mass = _grid_and_measures(space, window, n)[1][-1]
+        yield space, window, n, rng.uniform(0.05, 0.9) * mass, rng.uniform(0.05, 0.4) * mass
 
 
 def _assert_window(x, a, v, tau):
@@ -367,20 +374,83 @@ def test_window_on_exact_ends_empty_windows_and_one_slot():
 @pytest.mark.parametrize("components", [1, 2])
 @pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
 def test_search_matches_naive_enumeration(family, components):
-    for space, window, n, v, tau in _naive_cases(family, components):
-        xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
-        cfg = SearchConfig(target_volume=v, volume_tolerance=tau, grid_points=n,
-                           max_components=components, window=window)
-        best, count = naive_search(prefix, left_w, right_w, v, tau, components)
-        if best is None:
-            with pytest.raises(InfeasibleSearchError):
-                brute_force_profile(space, cfg)
-            continue
-        out = brute_force_profile(space, cfg)
-        assert out.sets_examined == count
-        ends = tuple(e for comp in out.best_set.components for e in comp)
-        assert ends == tuple(float(xs[k]) for k in best[1])
-        assert out.content == pytest.approx(best[0], rel=1e-12)
+    for case in _naive_cases(family, components):
+        _assert_matches_naive(*case, components)
+
+
+def _assert_matches_naive(space, window, n, v, tau, components=1):
+    """The search against naive_search: the count, the endpoints and the
+    content, bit for bit, or InfeasibleSearchError (then None) where no set
+    meets the window."""
+    xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
+    cfg = SearchConfig(target_volume=v, volume_tolerance=tau, grid_points=n,
+                       max_components=components, window=window)
+    best, count = naive_search(prefix, left_w, right_w, v, tau, components)
+    if best is None:
+        with pytest.raises(InfeasibleSearchError):
+            brute_force_profile(space, cfg)
+        return None
+    out = brute_force_profile(space, cfg)
+    assert out.sets_examined == count
+    ends = tuple(e for comp in out.best_set.components for e in comp)
+    assert ends == tuple(float(xs[k]) for k in best[1])
+    assert out.content == best[0]  # the same floats, added in the same order
+    return out
+
+
+def test_range_min_matches_naive_min():
+    rng = np.random.default_rng(22)
+    for width in (1, 2, 3, 7, 8, 9, 64, 100):
+        # Few distinct values, so minima tie, and +inf among them.
+        values = rng.choice([0.5, 1.0, 2.0, math.inf], width)
+        lo = rng.integers(0, width, 50)
+        hi = rng.integers(lo + 1, width + 1)
+        # Every range width from 1 to the full length, so every row of the table.
+        lo = np.concatenate([lo, np.zeros(width, dtype=lo.dtype)])
+        hi = np.concatenate([hi, np.arange(1, width + 1)])
+        expected = [min(values[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert _range_min(values, lo, hi).tolist() == expected
+
+
+def test_rounding_tie_in_one_row_goes_to_the_least_end():
+    # On [x5, x_j], j = 6..10, the left weight 2^60 absorbs the distinct
+    # right weights 5, 4, 3, 2 and 0 (x10 = D) in rounding: every sum is
+    # 2^60, so the least end j = 6 wins, not the least right weight at j = 10.
+    h = TabulatedDensity(
+        (0.0, 0.1, 0.2, 0.3, 0.4, 0.499, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0**60, 5.0, 4.0, 3.0, 2.0, 1.0),
+    )
+    space = WeightedInterval(1.0, h)
+    xs, prefix = _grid_and_measures(space, 1.0, 11)[:2]
+    v = float(prefix[10] - prefix[5])
+    out = _assert_matches_naive(space, 1.0, 11, v, 1e-3 * v)
+    assert out.best_set.components == ((xs[5], xs[6]),)
+    assert (out.content, out.sets_examined) == (2.0**60, 5)
+
+
+def test_rounding_tie_across_rows_goes_to_the_first_row():
+    # [x5, x6] costs fl(1 + 2^-53) = 1, [x9, x10] costs 1 + 0 (x10 = D)
+    # exactly: the rounded contents tie, and the first row wins.
+    xs = np.linspace(0.0, 1.0, 11)  # the search grid, so h(x_k) is exact
+    h = TabulatedDensity(tuple(xs), (2, 2, 2, 2, 2, 1, 2.0**-53, 2, 2, 1, 1))
+    out = _assert_matches_naive(WeightedInterval(1.0, h), 1.0, 11, 0.075, 0.03)
+    assert out.best_set.components == ((xs[5], xs[6]),)
+    assert (out.content, out.sets_examined) == (1.0, 3)
+
+
+def test_one_component_search_builds_no_interval_arrays():
+    # Every start has a wide window: 6.7 million candidate intervals, whose
+    # endpoint and content arrays alone would take hundreds of MiB.
+    cfg = SearchConfig(target_volume=0.5, volume_tolerance=0.4, grid_points=4096)
+    tracemalloc.start()
+    try:
+        out = brute_force_profile(unit_space(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.sets_examined == 6710886
+    assert out.content == 1.0 and out.best_set.components[0][0] == 0.0
+    assert peak < 8 * 2**20
 
 
 class _MinCountTree:
@@ -645,11 +715,7 @@ def test_pruned_join_finds_the_winning_pair(join_calls):
 
 def _assert_matches_naive_and_reference(space, window, n, v, tau):
     out = _assert_join_matches(space, window, n, v, tau)
-    xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
-    best, count = naive_search(prefix, left_w, right_w, v, tau, 2)
-    assert out.sets_examined == count
-    ends = tuple(e for comp in out.best_set.components for e in comp)
-    assert ends == tuple(float(xs[k]) for k in best[1])
+    assert _assert_matches_naive(space, window, n, v, tau, 2) == out
     return out
 
 
