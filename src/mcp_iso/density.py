@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .numerics import require_count, require_dimension
+from .numerics import float_or_array, require_count, require_dimension, require_positive
 from .profile import avr_lower_bound, cone_radius, log_cone_coefficient
 
 __all__ = [
@@ -65,20 +65,18 @@ class Density:
     """Base class for the supported weight-function families.
 
     h(x) and h.integral(s, t) take a float or a numpy array (x, respectively
-    t with a scalar s): a float gives a float, an array an array of the same
-    shape.  A family implements both on arrays, in _eval and _integral.
+    t with a scalar s): a float gives a float, an array an array of its shape
+    (numerics.float_or_array).  Families implement both on arrays, _eval and _integral.
     """
 
     kind: str = "abstract"
 
     def __call__(self, x):
-        hv = self._eval(np.asarray(x, dtype=float))
-        return float(hv) if np.ndim(hv) == 0 else hv
+        return float_or_array(self._eval(np.asarray(x, dtype=float)))
 
     def integral(self, s: float, t):
         """Exact integral of the weight over [s, t]."""
-        total = self._integral(float(s), np.asarray(t, dtype=float))
-        return float(total) if np.ndim(total) == 0 else total
+        return float_or_array(self._integral(float(s), np.asarray(t, dtype=float)))
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -107,12 +105,6 @@ class Density:
         tuples as lists; density_from_dict reads it back."""
         data = {"type": self.kind} | {f.name: getattr(self, f.name) for f in fields(self)}
         return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
-
-
-def _require_positive(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-    return float(value)
 
 
 class _PowerPieces(Density):
@@ -167,7 +159,7 @@ class ConstantDensity(_PowerPieces):
     kind = "constant"
 
     def __post_init__(self):
-        _require_positive("constant level c", self.c)
+        require_positive("constant level c", self.c)
         object.__setattr__(self, "_pieces", ((self.c, 0.0),))
 
     def scaled(self, factor: float) -> "ConstantDensity":
@@ -183,7 +175,7 @@ class MonomialDensity(_PowerPieces):
     kind = "monomial"
 
     def __post_init__(self):
-        _require_positive("monomial coefficient c", self.c)
+        require_positive("monomial coefficient c", self.c)
         if not (math.isfinite(self.p) and self.p >= 0.0):
             raise DomainError(f"monomial exponent must be >= 0, got {self.p}")
         object.__setattr__(self, "_pieces", ((self.c, self.p),))
@@ -220,7 +212,7 @@ class PiecewiseMonomialDensity(_PowerPieces):
         if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
             raise DomainError("breakpoints must be strictly increasing")
         for c, p in pcs:
-            _require_positive("piece coefficient", c)
+            require_positive("piece coefficient", c)
             if not math.isfinite(p):
                 raise DomainError(f"piece exponent must be finite, got {p}")
         if pcs[0][1] < 0.0:
@@ -262,8 +254,8 @@ class SharpDensity(_PowerPieces):
     kind = "paper_sharp"
 
     def __post_init__(self):
-        _require_positive("avr", self.avr)
-        _require_positive("mass", self.mass)
+        require_positive("avr", self.avr)
+        require_positive("mass", self.mass)
         require_dimension(self.N)
         # Derived constants of the model cone, kept out of the dataclass fields.
         # The tail coefficient must be a normal float: a subnormal one keeps
@@ -497,7 +489,7 @@ def _ratio_check(
     # the pair (b, 2b) at the last breakpoint (b = 1 with none) checks the
     # tail, and the sample grid ends at b.
     b = (h.breakpoints() or (1.0,))[-1]
-    tail = [np.array([b, 2.0 * b])] if isinstance(h, _PowerPieces) and math.isinf(D) else []
+    tail = [np.array([b, 2.0 * b])] if h.tail() is not None and math.isinf(D) else []
     if isinstance(h, (ConstantDensity, MonomialDensity, SharpDensity)):
         # Power against power: the violation factor grows with x1/x0, so one
         # pair decides: the tail pair, or on [0, D] the pair from the sharp
@@ -561,8 +553,7 @@ def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) ->
     D = _validate_domain(D)
     N = require_dimension(N)
     verdict = _ratio_check(h, D, grid_points)[0](N)
-    if (verdict.status == PASS_SAMPLED and math.isinf(D)
-            and not isinstance(h, _PowerPieces)):
+    if verdict.status == PASS_SAMPLED and math.isinf(D) and h.tail() is None:
         raise DomainError(
             "a tabulated density has no defined tail; it cannot certify "
             f"behaviour on [0, inf) beyond its grid end {h.support_end}"

@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .density import Density, check_mcp_density, density_from_dict
 from .errors import DomainError, PreconditionError
-from .numerics import require_dimension
+from .numerics import require_dimension, require_positive
 from .profile import avr_lower_bound, profile_mcp
 from .space import IntervalUnion, WeightedInterval, avr, minkowski_content
 
@@ -44,10 +46,7 @@ class RadialModel:
     ray_length: float  # math.inf for complete rays
 
     def __post_init__(self):
-        if not (math.isfinite(self.total_angle) and self.total_angle > 0.0):
-            raise DomainError(
-                f"total_angle must be positive and finite, got {self.total_angle}"
-            )
+        require_positive("total_angle", self.total_angle)
         require_dimension(self.N)
         if not self.ray_length > 0.0:
             raise DomainError(f"ray_length must be positive, got {self.ray_length}")
@@ -93,7 +92,8 @@ def disintegrate_ball(
 
     By symmetry all rays coincide: the needle is [0, R] with probability
     density w / int_0^R w, and the quotient measure has total mass m(B_R).
-    The per-ray mass of E is then m(E) / m(B_R) by construction.
+    The per-ray mass of E is then m(E) / m(B_R) by construction.  An R whose
+    ray mass, or its reciprocal, leaves the positive floats is a DomainError.
     """
     if not (0.0 < r and math.isfinite(R) and R > 0.0):
         raise DomainError(f"need finite positive radii, got r={r}, R={R}")
@@ -101,7 +101,12 @@ def disintegrate_ball(
         raise PreconditionError(f"decomposition requires r <= R/4, got r={r}, R={R}")
     if R > model.ray_length:
         raise PreconditionError(f"R={R} exceeds the ray length {model.ray_length}")
-    ray_mass = model.radial_weight.integral(0.0, R)
+    with np.errstate(over="ignore"):
+        ray_mass = model.radial_weight.integral(0.0, R)
+    if not (0.0 < ray_mass < math.inf and 1.0 / ray_mass < math.inf):
+        raise DomainError(
+            f"at R={R} the ray mass {ray_mass} or its reciprocal is not a positive finite float"
+        )
     needle = WeightedInterval(R, model.radial_weight.scaled(1.0 / ray_mass))
     return needle, model.total_angle * ray_mass
 

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: dimension and count checks, the unit-ball volume
-and monotone inversion.
+"""Shared numerical kernels: parameter checks, the float-or-array result
+convention, the unit-ball volume and monotone inversion.
 
 Everything here is pure and deterministic; no global mutable state.
 """
@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 import numbers
 from typing import Callable
+
+import numpy as np
 
 from .errors import BracketError, DomainError, PreconditionError
 
@@ -37,15 +39,30 @@ def require_count(name: str, value: int, low: int) -> int:
     return int(value)
 
 
+def require_positive(name: str, value: float) -> float:
+    """Validate a positive, finite real parameter; return it as a float."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {float(value)}")
+    return float(value)
+
+
+def float_or_array(x):
+    """float(x) for a 0-d x, else x: what a function of a float or an array returns."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def log_unit_ball_volume(N: float) -> float:
-    """log omega_N = (N/2) log pi - log Gamma(N/2 + 1), finite at every real N > 0.
+    """log omega_N = (N/2) log pi - log Gamma(N/2 + 1), finite for 0 < N < ~5e305.
 
     omega_N itself underflows past N ~ 450, and Gamma(N/2 + 1) overflows
     past N ~ 341, so constants built from omega_N are formed as sums of logs.
     """
     if not (math.isfinite(N) and N > 0.0):
         raise DomainError(f"the unit-ball volume needs finite N > 0, got {N}")
-    return 0.5 * N * _LOG_PI - math.lgamma(0.5 * N + 1.0)
+    try:
+        return 0.5 * N * _LOG_PI - math.lgamma(0.5 * N + 1.0)
+    except OverflowError:
+        raise DomainError(f"lgamma(N/2 + 1) overflows at N = {N}")
 
 
 def unit_ball_volume(N: float) -> float:

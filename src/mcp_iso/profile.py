@@ -13,7 +13,7 @@ f_D(D x) = f_1(x) / D and v_D(D a) = v_1(a), so only the unit closed form
 needs numerical care.  Both maps are symmetric about 1/2: f(1-x) = f(x) and
 v(1-a) = 1 - v(a), so every evaluation and every solve runs on the left
 half a <= 1/2.  Every function here takes a float or a numpy array and
-returns floats or arrays to match.
+returns floats or arrays of its shape (numerics.float_or_array).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import log_unit_ball_volume, require_dimension
+from .numerics import float_or_array, log_unit_ball_volume, require_dimension, require_positive
 
 __all__ = [
     "ProfileResult",
@@ -98,29 +98,14 @@ def _solve_left(N: float, w: np.ndarray) -> np.ndarray:
     return t
 
 
-def _validate_diameter(D: float) -> float:
-    D = float(D)
-    if not (math.isfinite(D) and D > 0.0):
-        raise DomainError(f"diameter must be positive and finite, got {D}")
-    return D
-
-
-def _inputs(name: str, x, lo: float, hi: float, closed: bool):
-    """x flattened to a float array checked to lie in (lo, hi), or [lo, hi]
-    when closed; with whether x was a scalar and its shape, for _outputs."""
+def _inputs(name: str, x, lo: float, hi: float, closed: bool) -> np.ndarray:
+    """x as a float array checked to lie in (lo, hi), or [lo, hi] when closed."""
     arr = np.asarray(x, dtype=float)
-    flat = arr.reshape(-1)
-    ok = (lo <= flat) & (flat <= hi) if closed else (lo < flat) & (flat < hi)
+    ok = (lo <= arr) & (arr <= hi) if closed else (lo < arr) & (arr < hi)
     if not ok.all():
         bounds = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
-        raise DomainError(f"{name} must lie in {bounds}, got {flat[~ok][0]}")
-    return flat, arr.ndim == 0, arr.shape
-
-
-def _outputs(scalar: bool, shape, *values):
-    if scalar:
-        return tuple(float(x[0]) for x in values)
-    return tuple(x.reshape(shape) for x in values)
+        raise DomainError(f"{name} must lie in {bounds}, got {arr[~ok][0]}")
+    return arr
 
 
 def _unit_solve(N: float, v: np.ndarray):
@@ -138,30 +123,30 @@ def _unit_solve(N: float, v: np.ndarray):
 def eval_f(N: float, D: float, x):
     """The boundary-size factor f at interior points x of [0, D]."""
     N = require_dimension(N)
-    D = _validate_diameter(D)
-    x, scalar, shape = _inputs("x", x, 0.0, D, closed=False)
+    D = require_positive("diameter", D)
+    x = _inputs("x", x, 0.0, D, closed=False)
     xi = x / D
     f = _left_terms(N, np.log(np.minimum(xi, 1.0 - xi)))[2]
-    return _outputs(scalar, shape, f / D)[0]
+    return float_or_array(f / D)
 
 
 def eval_v(N: float, D: float, a):
     """The volume fraction carried to the left of a; strictly increasing."""
     N = require_dimension(N)
-    D = _validate_diameter(D)
-    a, scalar, shape = _inputs("a", a, 0.0, D, closed=False)
+    D = require_positive("diameter", D)
+    a = _inputs("a", a, 0.0, D, closed=False)
     ai = a / D
     right = ai > 0.5
     v = np.exp(_left_terms(N, np.log(np.where(right, 1.0 - ai, ai)))[0])
-    return _outputs(scalar, shape, np.where(right, 1.0 - v, v))[0]
+    return float_or_array(np.where(right, 1.0 - v, v))
 
 
 def invert_v(N: float, D: float, v):
     """The parameter a with eval_v(N, D, a) = v, for v in (0, 1)."""
     N = require_dimension(N)
-    D = _validate_diameter(D)
-    v, scalar, shape = _inputs("v", v, 0.0, 1.0, closed=False)
-    return _outputs(scalar, shape, D * _unit_solve(N, v)[0])[0]
+    D = require_positive("diameter", D)
+    v = _inputs("v", v, 0.0, 1.0, closed=False)
+    return float_or_array(D * _unit_solve(N, v)[0])
 
 
 @dataclass(frozen=True)
@@ -184,8 +169,8 @@ def profile_mcp(N: float, D: float, v) -> ProfileResult:
     extension uses profile(0) = profile(1) = 0.
     """
     N = require_dimension(N)
-    D = _validate_diameter(D)
-    v, scalar, shape = _inputs("v", v, 0.0, 1.0, closed=True)
+    D = require_positive("diameter", D)
+    v = _inputs("v", v, 0.0, 1.0, closed=True)
     a = np.where(v == 1.0, D, 0.0)
     f = np.zeros_like(v)
     inner = (v > 0.0) & (v < 1.0)
@@ -193,7 +178,7 @@ def profile_mcp(N: float, D: float, v) -> ProfileResult:
         a_unit, f_unit = _unit_solve(N, v[inner])
         a[inner] = D * a_unit
         f[inner] = f_unit / D
-    v, a, f = _outputs(scalar, shape, v, a, f)
+    v, a, f = map(float_or_array, (v, a, f))
     return ProfileResult(N, D, v, a, f, f)
 
 
@@ -225,13 +210,16 @@ def cone_radius(N: float, avr: float, mass: float) -> float:
 def _mass_power_bound(N: float, avr: float, mass: float, log_power) -> float:
     """(P * mass^(N-1))^(1/N) with log P = log_power(N, avr), for checked
     inputs; 0 if avr or mass is 0.  As an exp of a sum of logs, no factor
-    leaves the float range."""
+    leaves the float range; a bound that does is a DomainError."""
     N = require_dimension(N)
     if not (0.0 <= avr < math.inf and 0.0 <= mass < math.inf):
         raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
     if avr == 0.0 or mass == 0.0:
         return 0.0
-    return math.exp((log_power(N, avr) + (N - 1.0) * math.log(mass)) / N)
+    try:
+        return math.exp((log_power(N, avr) + (N - 1.0) * math.log(mass)) / N)
+    except OverflowError:
+        raise DomainError(f"the bound leaves the float range at N={N}, avr={avr}, mass={mass}")
 
 
 def avr_lower_bound(N: float, avr: float, mass: float) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .density import SharpDensity
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import require_count, require_dimension
+from .numerics import require_count, require_dimension, require_positive
 from .profile import avr_lower_bound, cone_radius
 from .space import IntervalUnion, WeightedInterval
 
@@ -57,14 +57,11 @@ class SearchConfig:
         require_count("grid_points", self.grid_points, 2)
         if require_count("max_components", self.max_components, 1) > 2:
             raise DomainError(f"max_components must be 1 or 2, got {self.max_components}")
-        if not 0.0 < self.volume_tolerance < math.inf:
-            raise DomainError("volume_tolerance must be positive and finite")
+        require_positive("volume_tolerance", self.volume_tolerance)
         if not 0.0 <= self.target_volume < math.inf:
             raise DomainError(f"target_volume must be finite and >= 0, got {self.target_volume}")
-        if self.window is not None and not (
-            math.isfinite(self.window) and self.window > 0.0
-        ):
-            raise DomainError(f"window must be positive and finite, got {self.window}")
+        if self.window is not None:
+            require_positive("window", self.window)
 
 
 @dataclass(frozen=True)

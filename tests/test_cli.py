@@ -53,6 +53,13 @@ def test_profile_golden_and_sweep(capsys):
         [0.1, 0.3, 0.5, 0.7, 0.9]
     )
 
+    # A one-point sweep is its first endpoint.
+    code, out, _ = run(capsys, "profile", "--N", "2", "--D", "1", "--v", "0.1:0.5:1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[2] == "0.1"
+
 
 def test_profile_at_large_n_is_a_value(capsys):
     # x^(1-N) overflowed here once; the symmetric point is a = 1/2 exactly
@@ -134,6 +141,13 @@ def test_expansion_table(capsys):
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(1e-6)
     assert float(last[4]) < 1e-2  # close to the leading coefficient already
+
+    # One point is v_max alone.
+    code, out, _ = run(capsys, "expansion", "--N", "2", "--v-min", "1e-6", "--points", "1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[0] == "0.01"
 
 
 def test_min_dimension_and_none_case(capsys, tmp_path):
@@ -317,6 +331,12 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("avr", "--N", "2", "--r-max", "5"), {"--space": SHARP_SPACE}),
         (("search",), search_files(grid_pionts=64)),
         (("localize", "--r", "1", "--R", "8:400:3"), {"--model": INFINITE_ANGLE_MODEL}),
+        (("localize", "--r", "1e-201", "--R", "1e-200"), {"--model": PLANE_MODEL}),
+        (("localize", "--r", "1e-160", "--R", "1e-155"), {"--model": PLANE_MODEL}),
+        (("localize", "--r", "1", "--R", "1e200"), {"--model": PLANE_MODEL}),
+        (("bounds", "--N", "2", "--avr", "1e308", "--mass", "1e308"), {}),
+        (("bounds", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
+        (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -330,6 +350,8 @@ def run_with_files(capsys, tmp_path, argv, files):
         "localize-sweep-inf-endpoint", "volumes-sweep-inf-endpoint", "bounds-avr-inf",
         "bounds-mass-inf", "flag-not-a-number", "flag-missing", "unknown-subcommand",
         "avr-r-max", "search-unknown-field", "localize-theta-inf",
+        "localize-ray-mass-zero", "localize-ray-mass-subnormal", "localize-ray-mass-inf",
+        "bounds-overflow", "bounds-lgamma-overflow", "sharp-lgamma-overflow",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -352,17 +374,33 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
         (("search",), search_files(volumes=["inf"]), "volume must be non-negative and finite"),
         (("localize", "--r", "1", "--R", "8:400:3"), {"--model": INFINITE_ANGLE_MODEL},
          "total_angle"),
+        (("localize", "--r", "1e-201", "--R", "1e-200"), {"--model": PLANE_MODEL},
+         "at R=1e-200 the ray mass 0.0 "),
+        (("localize", "--r", "1e-160", "--R", "1e-155"), {"--model": PLANE_MODEL},
+         "at R=1e-155 the ray mass 5e-311 "),
+        (("localize", "--r", "1", "--R", "1e200"), {"--model": PLANE_MODEL},
+         "at R=1e+200 the ray mass inf "),
+        (("bounds", "--N", "2", "--avr", "1e308", "--mass", "1e308"), {},
+         "leaves the float range at N=2.0, avr=1e+308, mass=1e+308"),
+        (("bounds", "--N", "1e308", "--avr", "1", "--mass", "1"), {},
+         "lgamma(N/2 + 1) overflows at N = 1e+308"),
+        (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {},
+         "lgamma(N/2 + 1) overflows at N = 1e+308"),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
-         "expansion-points", "search-volume", "localize-theta"],
+         "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
+         "localize-ray-mass-subnormal", "localize-ray-mass-inf", "bounds-overflow",
+         "bounds-lgamma-overflow", "sharp-lgamma-overflow"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
     # A non-finite endpoint or volume, or a point count below 1, is reported
     # as given, not as the NaN, window or sweep that computing with it would
-    # produce.
+    # produce; a result that leaves the float range names the inputs that
+    # put it there, on one line.
     code, _, err = run_with_files(capsys, tmp_path, argv, files)
     assert code == 1
     assert named in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_search_field_is_named(capsys, tmp_path):
