@@ -93,7 +93,8 @@ def disintegrate_ball(
     By symmetry all rays coincide: the needle is [0, R] with probability
     density w / int_0^R w, and the quotient measure has total mass m(B_R).
     The per-ray mass of E is then m(E) / m(B_R) by construction.  An R whose
-    ray mass, or its reciprocal, leaves the positive floats is a DomainError.
+    ray mass, its reciprocal or the quotient mass theta * ray mass leaves the
+    positive floats is a DomainError.
     """
     if not (0.0 < r and math.isfinite(R) and R > 0.0):
         raise DomainError(f"need finite positive radii, got r={r}, R={R}")
@@ -107,8 +108,14 @@ def disintegrate_ball(
         raise DomainError(
             f"at R={R} the ray mass {ray_mass} or its reciprocal is not a positive finite float"
         )
+    quotient_mass = model.total_angle * ray_mass
+    if not 0.0 < quotient_mass < math.inf:
+        raise DomainError(
+            f"at R={R} the quotient mass theta * ray mass = {model.total_angle} * {ray_mass} "
+            f"is {quotient_mass}, not a positive finite float"
+        )
     needle = WeightedInterval(R, model.radial_weight.scaled(1.0 / ray_mass))
-    return needle, model.total_angle * ray_mass
+    return needle, quotient_mass
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ window exactly, for single intervals and pairs alike, as a naive
 enumeration would.  It makes no claim below grid resolution; certify_bound
 reports the discretization slack of each row.
 
+Each searched grid is built once: _grid_and_measures keeps the last grid,
+so certify_bound and the brute_force_profile it calls per volume share it.
+
 Single intervals are not listed: a sparse-table range minimum of the
 right-end weights over each start's window gives its least content.
 
@@ -18,7 +21,8 @@ none): fl(c_u + c_w) <= bound implies that both u and w pass, because
 rounding is monotone, so every pair left out loses to that set.  On the
 needle the best set is mostly one interval [0, r], and few or no intervals
 pass.  Where more than half pass, one join over all intervals gives both
-the count and the best pair.
+the count and the best pair.  A pair's window is symmetric in its two
+intervals, so _pair_window reads about half of it off the other half.
 """
 
 from __future__ import annotations
@@ -86,13 +90,32 @@ def _resolve_window(space: WeightedInterval, cfg: SearchConfig) -> float:
     raise DomainError("searching a half-line space requires an explicit window")
 
 
+# The last grid built: (space, window, grid_points, arrays).  It holds the
+# space itself, so no later space can reuse its id.
+_last_grid: tuple = (None, None, None, ())
+
+
 def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int):
+    """The grid xs on [0, window], its prefix measures and the left- and
+    right-end weights, as read-only arrays.
+
+    The last grid is kept and served again to the same space object (not to
+    an equal one), window and grid size: certify_bound reads a volume's gap
+    and slack from the grid that brute_force_profile then searches."""
+    global _last_grid
+    last_space, last_window, last_points, arrays = _last_grid
+    if last_space is space and last_window == window and last_points == grid_points:
+        return arrays
     xs = np.linspace(0.0, window, grid_points)
     prefix = space.h.integral(0.0, xs)
     hv = space.h(xs)
     left_w = np.where(xs > 0.0, hv, 0.0)
     right_w = np.where(xs < space.D, hv, 0.0)
-    return xs, prefix, left_w, right_w
+    arrays = (xs, prefix, left_w, right_w)
+    for array in arrays:
+        array.flags.writeable = False
+    _last_grid = (space, window, grid_points, arrays)
+    return arrays
 
 
 def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -138,6 +161,29 @@ def _window(x, a, v, tau):
     return bounds
 
 
+def _pair_window(x, v, tau):
+    """_window(x, x[::-1], v, tau) for the ascending array x, with _window run
+    on the tail of offsets only.
+
+    Let f(k) = #{l : fl(x_l + x_k) < v - tau}, the lower end for offset x_k.
+    fl(x_k + x_l) = fl(x_l + x_k), so f(k) > l iff f(l) > k.  The K offsets
+    with fl(x_k + x_k) < v - tau lie in their own prefix, so for k < K every
+    l < K counts and f(k) = K + #{l >= K : f(l) > k}, where each f(l) <= K.
+    The upper end, with <= v + tau, follows the same way from its own K."""
+    m = len(x)
+    doubled = x + x  # fl(x_k + x_k), ascending as x is
+    heads = (np.searchsorted(doubled, v - tau, side="left"),
+             np.searchsorted(doubled, v + tau, side="right"))
+    bounds = np.empty((2, m), dtype=np.intp)  # C order: the join's gathers read it row-wise
+    if heads[0] < m:
+        bounds[:, :m - heads[0]] = _window(x, x[heads[0]:][::-1], v, tau)
+    for end, k in zip(bounds, heads):
+        # end[:m - k] holds the offsets k..m-1 in descending order, end[m - k:]
+        # the head, descending too: #{l >= k : end > t} for t = k - 1, ..., 0.
+        end[m - k:] = k + np.cumsum(np.bincount(end[:m - k], minlength=k + 1)[:0:-1])
+    return bounds
+
+
 def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
     """The two-component join over the given intervals, each one both a
     first interval u = (i1, j1) and a second one.
@@ -148,16 +194,16 @@ def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
     The intervals, at least one, must come in (i, j) order.
 
     Slots order the intervals by measure, so u asks about one slot range
-    [lo, hi), and ranks order them by (content, i, j).  A wavelet matrix
-    over the slots, keyed by the start i2, answers every range at once in
-    one level per bit of the largest end j (no start exceeds it).  Level b
-    splits the slots on bit b of i2, zeros first, each side in the order of
-    the level above (the slots of equal higher bits stay contiguous).  A
-    range follows the side of bit b of j1; where that bit is 0, the range's
-    ones all have i2 > j1 (their higher bits equal those of j1), so they are
-    counted and, if search, a sparse-table range minimum over the ones'
-    ranks gives their least rank.
-    What is left after bit 0 has i2 = j1, no partner.
+    [lo, hi), symmetric in u and its partner (_pair_window), and ranks order
+    them by (content, i, j).  A wavelet matrix over the slots, keyed by the
+    start i2, answers every range at once in one level per bit of the
+    largest end j (no start exceeds it).  Level b splits the slots on bit b
+    of i2, zeros first, each side in the order of the level above (the
+    slots of equal higher bits stay contiguous).  A range follows the side
+    of bit b of j1; where that bit is 0, the range's ones all have i2 > j1
+    (their higher bits equal those of j1), so they are counted and, if
+    search, a sparse-table range minimum over the ones' ranks gives their
+    least rank.  What is left after bit 0 has i2 = j1, no partner.
     """
     total = len(iv_i)
     # Starts, counts and ranks are at most total; int32 halves their traffic.
@@ -165,7 +211,7 @@ def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
     slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
     first = slot_iv[::-1]  # queries by descending m1
     m_sorted = iv_m[slot_iv]
-    bounds = _window(m_sorted, m_sorted[::-1], v, tau)
+    bounds = _pair_window(m_sorted, v, tau)
     j1 = iv_j[first].astype(small)
     start = iv_i[slot_iv].astype(small)
     if search:
@@ -327,7 +373,9 @@ def certify_bound(
     cfg.target_volume is ignored; each swept volume replaces it.  The slack
     of a row is (max consecutive-gridpoint measure gap) * (max h on the
     window), and the per-volume tolerance is widened to at least the measure
-    gap so the window is always feasible.
+    gap so the window is always feasible.  Each volume builds one grid: the
+    brute_force_profile call that searches it gets the grid the gap and slack
+    were read from.
     """
     N = require_dimension(N)
     if not 0.0 <= avr_value < math.inf:

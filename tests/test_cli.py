@@ -268,6 +268,8 @@ SHARP_SPACE = {"D": "inf", "density": {"type": "paper_sharp", "avr": 0.2, "mass"
 PLANE_MODEL = {"theta": 2.0 * math.pi, "weight": {"type": "monomial", "c": 1.0, "p": 1.0},
                "N": 2.0, "ray_length": "inf"}
 INFINITE_ANGLE_MODEL = {**PLANE_MODEL, "theta": "1e400"}
+HUGE_ANGLE_MODEL = {**PLANE_MODEL, "theta": 1e300}
+TINY_ANGLE_MODEL = {**PLANE_MODEL, "theta": 1e-320}
 
 
 def search_files(**config):
@@ -334,6 +336,8 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("localize", "--r", "1e-201", "--R", "1e-200"), {"--model": PLANE_MODEL}),
         (("localize", "--r", "1e-160", "--R", "1e-155"), {"--model": PLANE_MODEL}),
         (("localize", "--r", "1", "--R", "1e200"), {"--model": PLANE_MODEL}),
+        (("localize", "--r", "1", "--R", "1e10"), {"--model": HUGE_ANGLE_MODEL}),
+        (("localize", "--r", "1e-5", "--R", "1e-4"), {"--model": TINY_ANGLE_MODEL}),
         (("bounds", "--N", "2", "--avr", "1e308", "--mass", "1e308"), {}),
         (("bounds", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
         (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
@@ -351,7 +355,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         "bounds-mass-inf", "flag-not-a-number", "flag-missing", "unknown-subcommand",
         "avr-r-max", "search-unknown-field", "localize-theta-inf",
         "localize-ray-mass-zero", "localize-ray-mass-subnormal", "localize-ray-mass-inf",
-        "bounds-overflow", "bounds-lgamma-overflow", "sharp-lgamma-overflow",
+        "localize-quotient-mass-inf", "localize-quotient-mass-zero", "bounds-overflow", "bounds-lgamma-overflow", "sharp-lgamma-overflow",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -380,6 +384,10 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "at R=1e-155 the ray mass 5e-311 "),
         (("localize", "--r", "1", "--R", "1e200"), {"--model": PLANE_MODEL},
          "at R=1e+200 the ray mass inf "),
+        (("localize", "--r", "1", "--R", "1e10"), {"--model": HUGE_ANGLE_MODEL},
+         "at R=10000000000.0 the quotient mass theta * ray mass = 1e+300 * 5e+19 is inf"),
+        (("localize", "--r", "1e-5", "--R", "1e-4"), {"--model": TINY_ANGLE_MODEL},
+         "the quotient mass theta * ray mass = 1e-320 * 5e-09 is 0.0"),
         (("bounds", "--N", "2", "--avr", "1e308", "--mass", "1e308"), {},
          "leaves the float range at N=2.0, avr=1e+308, mass=1e+308"),
         (("bounds", "--N", "1e308", "--avr", "1", "--mass", "1"), {},
@@ -389,7 +397,8 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
          "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
-         "localize-ray-mass-subnormal", "localize-ray-mass-inf", "bounds-overflow",
+         "localize-ray-mass-subnormal", "localize-ray-mass-inf", "localize-quotient-mass-inf",
+         "localize-quotient-mass-zero", "bounds-overflow",
          "bounds-lgamma-overflow", "sharp-lgamma-overflow"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):

@@ -1,5 +1,6 @@
 """Brute-force search: enumeration, tie-breaking, certification."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,8 +24,16 @@ from mcp_iso import (
     sharp_space,
     unit_ball_volume,
 )
+from mcp_iso import search
 from mcp_iso.profile import cone_radius, log_cone_coefficient
-from mcp_iso.search import _grid_and_measures, _join, _range_min, _resolve_window, _window
+from mcp_iso.search import (
+    _grid_and_measures,
+    _join,
+    _pair_window,
+    _range_min,
+    _resolve_window,
+    _window,
+)
 
 
 def unit_space():
@@ -240,6 +249,67 @@ def test_certify_slack_takes_max_h_over_the_whole_grid():
     assert report.rows[0].slack == gap * 2.0
 
 
+def _counting(h, calls):
+    """A copy of density h that counts its point evaluations and integrals
+    in calls, a dict keyed by method name."""
+    base = type(h)
+
+    def counted(name):
+        def method(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return getattr(base, name)(self, *args)
+        return method
+
+    cls = type("Counting" + base.__name__, (base,), {n: counted(n) for n in ("__call__", "integral")})
+    return cls(**{f.name: getattr(h, f.name) for f in dataclasses.fields(h)})
+
+
+@pytest.mark.parametrize("grid_points", [512, 4096])
+def test_certify_bound_builds_one_grid_per_volume(grid_points, monkeypatch):
+    # On the half line each volume sizes its own window, so gets its own
+    # grid; brute_force_profile, still called once per volume through the
+    # module attribute, searches the grid certify_bound read its slack from.
+    sharp, _ = sharp_space(0.2, 1.0, 2.0)
+    calls = {}
+    space = WeightedInterval(math.inf, _counting(sharp.h, calls))
+    searched = []
+    bfp = search.brute_force_profile
+    monkeypatch.setattr(search, "brute_force_profile", lambda *a: searched.append(a) or bfp(*a))
+    cfg = SearchConfig(target_volume=0.0, volume_tolerance=1e-9, grid_points=grid_points)
+    volumes = [0.25, 0.5, 1.0, 2.0]
+    report = certify_bound(space, 2.0, 0.2, volumes, cfg)
+    assert calls == {"__call__": len(volumes), "integral": len(volumes)}
+    assert [run_cfg.target_volume for _, run_cfg in searched] == volumes
+    assert report.rows == certify_bound(sharp, 2.0, 0.2, volumes, cfg).rows
+    # A bounded space searches [0, D] at every volume: one grid in all.
+    calls.clear()
+    space = WeightedInterval(1.0, _counting(ConstantDensity(1.0), calls))
+    certify_bound(space, 2.0, 0.0, volumes[:3], cfg)
+    assert calls == {"__call__": 1, "integral": 1}
+
+
+def test_grid_is_served_again_only_to_the_same_space_window_and_size():
+    space = WeightedInterval(1.0, MonomialDensity(1.0, 1.0))
+    grid = _grid_and_measures(space, 1.0, 64)
+    assert _grid_and_measures(space, 1.0, 64) is grid
+    for other, window, n in (
+        (WeightedInterval(1.0, MonomialDensity(1.0, 1.0)), 1.0, 64),  # equal, not the same
+        (space, 0.5, 64),
+        (space, 1.0, 65),
+    ):
+        assert other == space
+        fresh = _grid_and_measures(other, window, n)
+        assert fresh is not grid
+        xs = np.linspace(0.0, window, n)
+        np.testing.assert_array_equal(fresh[0], xs)
+        np.testing.assert_array_equal(fresh[1], other.h.integral(0.0, xs))
+        grid = fresh
+    for array in grid:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def naive_search(prefix, left_w, right_w, v, tau, components):
     """O(n^4) enumeration of the empty set and of unions of up to two
     disjoint grid intervals [x_i, x_j] with measure within tau of v.
@@ -436,6 +506,62 @@ def test_rounding_tie_across_rows_goes_to_the_first_row():
     out = _assert_matches_naive(WeightedInterval(1.0, h), 1.0, 11, 0.075, 0.03)
     assert out.best_set.components == ((xs[5], xs[6]),)
     assert (out.content, out.sets_examined) == (1.0, 3)
+
+
+def _assert_pair_window(x, v, tau):
+    """_pair_window(x, v, tau) equals _window(x, x[::-1], v, tau) exactly and
+    in C order; returns the number of offsets read off by symmetry."""
+    x = np.sort(np.asarray(x, dtype=float))
+    got = _pair_window(x, v, tau)
+    np.testing.assert_array_equal(got, _window(x, x[::-1], v, tau))
+    assert got.dtype == np.intp and got.flags.c_contiguous
+    return int(np.searchsorted(x + x, v - tau, side="left"))
+
+
+def test_pair_window_matches_the_window_on_reversed_offsets():
+    rng = np.random.default_rng(24)
+    heads, exact_ends = set(), 0
+    for _ in range(400):
+        # Runs of equal values on a step of 0.1, zeros among them.
+        m = int(rng.integers(1, 40))
+        x = np.sort(np.repeat(rng.integers(0, 8, m) * 0.1, rng.integers(1, 4, m)))
+        if rng.integers(2):
+            x[: int(rng.integers(0, len(x) + 1))] = 0.0
+        m = len(x)
+        # Both ends on a rounded sum fl(x_a + x_b): ends hit exactly.
+        lo_end, hi_end = np.sort(x[rng.integers(0, m, 2)] + x[rng.integers(0, m, 2)])
+        tau = max((hi_end - lo_end) / 2.0, 0.05)
+        for v, t in (
+            (lo_end + tau, tau),
+            (rng.integers(0, 33) * 0.05, rng.integers(1, 5) * 0.05),
+            (rng.uniform(0.0, 0.2), rng.uniform(0.2, 0.5)),  # v - tau <= 0: no head
+            (2.0 * x[-1] + 1.0, 0.5),  # every 2x below v - tau: no tail
+        ):
+            head = _assert_pair_window(x, v, t)
+            heads.add("no head" if head == 0 else "no tail" if head == m else "both")
+            exact_ends += bool(np.isin([v - t, v + t], np.add.outer(x, x)).any())
+    assert heads == {"no head", "both", "no tail"}
+    assert exact_ends > 300
+
+
+def test_pair_window_on_exact_ends_and_subnormal_sums():
+    # Dyadic values: every sum is exact, and the ends of [0.5, 1.0] are sums.
+    x = [0.0, 0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0]
+    for v, tau in ((0.75, 0.25), (0.5, 0.5), (0.125, 0.0625), (4.0, 1.0), (1.0, 1e-300)):
+        _assert_pair_window(x, v, tau)
+    # fl(0.1 + 0.2) lies above 0.3: a window ending at 0.3 leaves it out.
+    for v in (0.2, 0.25, 0.3 + 0.1):
+        _assert_pair_window([0.1, 0.1, 0.2, 0.3, 0.3], v, 0.1)
+    # Subnormal sums, where halving the window end would round.
+    tiny = np.array([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323])
+    for v, tau in ((1e-323, 5e-324), (2.5e-323, 5e-324), (5e-324, 5e-324)):
+        _assert_pair_window(tiny, v, tau)
+    # Sums that overflow rank last, as in the window.
+    with np.errstate(over="ignore"):
+        _assert_pair_window([1.0, 1e308, 1.7e308], 1.5e308, 1e308)
+    # One slot, inside and outside its own window.
+    for v in (0.6, 1.0):
+        _assert_pair_window([0.3], v, 0.05)
 
 
 def test_one_component_search_builds_no_interval_arrays():
