@@ -142,7 +142,16 @@ class _PowerPieces(Density):
             elif q == 0.0:  # only after the first piece, where a >= lo > 0
                 part = c * np.log(b / a)
             else:
-                part = c * (b ** q - a ** q) / q
+                # A Python float's power raises where numpy's only warns, and
+                # a part whose a ** q overflows has no finite value.
+                try:
+                    a_q = a ** q
+                except OverflowError:
+                    raise DomainError(
+                        f"{self!r}: the integral of its piece x^{p:g} from x = {a:g} "
+                        "leaves the float range"
+                    ) from None
+                part = c * (b ** q - a_q) / q
             total = part if total is None else total + part
         return total
 

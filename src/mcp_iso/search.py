@@ -13,16 +13,23 @@ so certify_bound and the brute_force_profile it calls per volume share it.
 Single intervals are not listed: a sparse-table range minimum of the
 right-end weights over each start's window gives its least content.
 
-Two-component unions are counted and searched in two parts.  The count
-joins all M candidate intervals but ranks none of them.  The search for
-the best pair joins only the intervals u with c_u + min(c) <= bound, where
-bound is the content of the best empty or one-interval set (inf if there is
-none): fl(c_u + c_w) <= bound implies that both u and w pass, because
-rounding is monotone, so every pair left out loses to that set.  On the
-needle the best set is mostly one interval [0, r], and few or no intervals
-pass.  Where more than half pass, one join over all intervals gives both
-the count and the best pair.  A pair's window is symmetric in its two
-intervals, so _pair_window reads about half of it off the other half.
+Two-component unions are counted and searched in two parts, over one
+measure order of the M candidate intervals and one pair window, both built
+once per volume.  The count joins all M intervals but ranks none of them.
+The search for the best pair joins only the intervals u with
+c_u + least[lo_u] <= bound.  Here bound is the content of the best empty or
+one-interval set (inf if there is none), lo_u the lower end of u's partner
+window and least[p] the least content at measure slots >= p (inf past the
+end).  Every partner w of u has its slot in u's window, so least[lo_u] <=
+c_w, and the window is symmetric in u and w; rounding is monotone, so
+fl(c_u + c_w) <= bound keeps both u and w, and every pair left out loses to
+that set.  The test runs only on the u with c_u + min(c) <= bound, often
+none.  On the needle the best set is mostly one interval [0, r], and few or
+no intervals are kept.  Where more than half are, one join over all
+intervals gives both the count and the best pair.  A pair's window is
+symmetric in its two intervals, so _pair_window reads about half of it off
+the other half.  The join's level loop holds starts and ends as int16 on
+grids below 2**15 points.
 """
 
 from __future__ import annotations
@@ -184,14 +191,44 @@ def _pair_window(x, v, tau):
     return bounds
 
 
-def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
+def _by_measure(iv_m, v, tau):
+    """The slot order of the intervals by measure and its pair window, as
+    _join takes them."""
+    slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
+    return slot_iv, _pair_window(iv_m[slot_iv], v, tau)
+
+
+def _prune(iv_c, slot_iv, lo, bound):
+    """The intervals u, ascending, with c_u + least[lo_u] <= bound: least[p]
+    is the least content at slots >= p (inf past the end) and lo the lower
+    ends of the pair window, queries by descending measure.  The test runs
+    only on the u with c_u + min(c) <= bound, often none; it keeps both
+    intervals of every pair that can beat or tie bound (module docstring)."""
+    cheap = np.flatnonzero(iv_c + iv_c.min() <= bound)
+    if not len(cheap):
+        return cheap
+    total = len(iv_c)
+    least = np.empty(total + 1)
+    least[total] = math.inf
+    least[:total] = np.minimum.accumulate(iv_c[slot_iv[::-1]])[::-1]
+    slot = np.empty(total, dtype=np.intp)
+    slot[slot_iv] = np.arange(total)
+    # lo holds the queries by descending measure: u's is at total - 1 - slot.
+    lo_cheap = lo[total - 1 - slot[cheap]]
+    return cheap[iv_c[cheap] + least[lo_cheap] <= bound]
+
+
+def _join(iv_i, iv_j, iv_c, slot_iv, bounds, search):
     """The two-component join over the given intervals, each one both a
     first interval u = (i1, j1) and a second one.
 
     Returns the count of pairs with i2 > j1 and v - tau <= m1 + m2 <= v + tau
     and, if search, for each u that has a partner the least one in
     (content, i, j) order, as index arrays (u, w); else (count, None, None).
-    The intervals, at least one, must come in (i, j) order.
+    The intervals, at least one, must come in (i, j) order.  (slot_iv,
+    bounds) = _by_measure(m, v, tau) sorts them by measure m and holds each
+    u's slot range [lo, hi), queries by descending m1; the join moves bounds
+    in place, so a caller that reads them again passes a copy.
 
     Slots order the intervals by measure, so u asks about one slot range
     [lo, hi), symmetric in u and its partner (_pair_window), and ranks order
@@ -206,14 +243,14 @@ def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
     least rank.  What is left after bit 0 has i2 = j1, no partner.
     """
     total = len(iv_i)
-    # Starts, counts and ranks are at most total; int32 halves their traffic.
+    # Counts and ranks are at most total; int32 halves their traffic, and
+    # int16 starts and ends halve it again on grids below 2**15 points.
     small = np.int32 if total < 2**31 else np.intp
-    slot_iv = np.argsort(iv_m)  # a range takes or leaves all of a tie
+    levels = int(iv_j.max()).bit_length()
+    coord = np.int16 if levels <= 15 else small
     first = slot_iv[::-1]  # queries by descending m1
-    m_sorted = iv_m[slot_iv]
-    bounds = _pair_window(m_sorted, v, tau)
-    j1 = iv_j[first].astype(small)
-    start = iv_i[slot_iv].astype(small)
+    j1 = iv_j[first].astype(coord)
+    start = iv_i[slot_iv].astype(coord)
     if search:
         by_rank = np.argsort(iv_c, kind="stable")  # ties keep (i, j) order
         rank = np.empty(total, dtype=small)
@@ -222,11 +259,11 @@ def _join(iv_i, iv_j, iv_m, iv_c, v, tau, search):
         least = np.full(total, total, dtype=np.intp)  # total: no partner
     examined = 0
     ones_before = np.zeros(total + 1, dtype=small)
-    for b in reversed(range(int(iv_j.max()).bit_length())):
+    for b in reversed(range(levels)):
         # Stable order putting the slots whose start has bit b clear first;
         # ones_before[p] counts the set bits in start[:p].
         bit = (start >> b) & 1
-        np.cumsum(bit, out=ones_before[1:])
+        np.cumsum(bit, dtype=small, out=ones_before[1:])
         is_one = bit.astype(bool)
         order = np.concatenate((np.flatnonzero(~is_one), np.flatnonzero(is_one)))
         start = start[order]
@@ -273,8 +310,11 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     widest window of one start, with no interval arrays.  Two components
     list the M intervals light enough for a pair, for the join only: a
     wavelet matrix over their starts, O(M log M * log n) numpy work in two
-    parts (module docstring).  _window decides exactly which intervals and
-    pairs meet the window, v - tau <= fl(m) <= v + tau, as naive enumeration.
+    parts that share one measure order and pair window; the best pair is
+    searched only among the intervals whose least partner content in that
+    window can beat or tie the best single set (module docstring).  _window
+    decides exactly which intervals and pairs meet the window,
+    v - tau <= fl(m) <= v + tau, as naive enumeration.
     """
     window = _resolve_window(space, cfg)
     xs, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
@@ -309,18 +349,21 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         iv_j = np.arange(len(iv_i)) - np.repeat(np.cumsum(counts) - hi, counts)
         iv_c = left_w[iv_i] + right_w[iv_j]
         iv_m = prefix[iv_j] - prefix[iv_i]
+        # The count and the prune share one measure order and pair window.
+        slot_iv, bounds = _by_measure(iv_m, v, tau)
         # Only a pair of kept intervals can beat or tie the best set so far
         # (module docstring); the count needs all of them but no ranks.
         bound = min(candidates)[0] if candidates else math.inf
-        kept = np.flatnonzero(iv_c + iv_c.min() <= bound)
-        arrays = (iv_i, iv_j, iv_m, iv_c)
+        kept = _prune(iv_c, slot_iv, bounds[0], bound)
+        arrays = (iv_i, iv_j, iv_c)
         if 2 * len(kept) > len(iv_i):  # one join over all, not two passes
-            pairs, u, w = _join(*arrays, v, tau, search=True)
+            pairs, u, w = _join(*arrays, slot_iv, bounds, search=True)
         else:
-            pairs, _, _ = _join(*arrays, v, tau, search=False)
+            pairs, _, _ = _join(*arrays, slot_iv, bounds, search=False)
             u = w = kept[:0]
             if len(kept):
-                _, u, w = _join(*(a[kept] for a in arrays), v, tau, search=True)
+                kept_arrays = (a[kept] for a in arrays)
+                _, u, w = _join(*kept_arrays, *_by_measure(iv_m[kept], v, tau), search=True)
                 u, w = kept[u], kept[w]
         examined += pairs
 

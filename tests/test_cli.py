@@ -341,6 +341,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("bounds", "--N", "2", "--avr", "1e308", "--mass", "1e308"), {}),
         (("bounds", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
         (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
+        (("sharp", "--avr", "1", "--mass", "1e40", "--N", "400"), {}),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -356,6 +357,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         "avr-r-max", "search-unknown-field", "localize-theta-inf",
         "localize-ray-mass-zero", "localize-ray-mass-subnormal", "localize-ray-mass-inf",
         "localize-quotient-mass-inf", "localize-quotient-mass-zero", "bounds-overflow", "bounds-lgamma-overflow", "sharp-lgamma-overflow",
+        "sharp-tail-integral-overflow",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -394,12 +396,15 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "lgamma(N/2 + 1) overflows at N = 1e+308"),
         (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {},
          "lgamma(N/2 + 1) overflows at N = 1e+308"),
+        (("sharp", "--avr", "1", "--mass", "1e40", "--N", "400"), {},
+         "SharpDensity(avr=1.0, mass=1e+40, N=400.0): the integral of its piece x^399 "
+         "from x = 6.05567 leaves the float range"),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
          "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
          "localize-ray-mass-subnormal", "localize-ray-mass-inf", "localize-quotient-mass-inf",
          "localize-quotient-mass-zero", "bounds-overflow",
-         "bounds-lgamma-overflow", "sharp-lgamma-overflow"],
+         "bounds-lgamma-overflow", "sharp-lgamma-overflow", "sharp-tail-integral-overflow"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
     # A non-finite endpoint or volume, or a point count below 1, is reported

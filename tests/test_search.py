@@ -27,9 +27,11 @@ from mcp_iso import (
 from mcp_iso import search
 from mcp_iso.profile import cone_radius, log_cone_coefficient
 from mcp_iso.search import (
+    _by_measure,
     _grid_and_measures,
     _join,
     _pair_window,
+    _prune,
     _range_min,
     _resolve_window,
     _window,
@@ -797,8 +799,10 @@ def join_calls(monkeypatch):
     calls = []
 
     def checked(iv_i, *args, search):
-        counted = _join(iv_i, *args, search=False)
-        full = _join(iv_i, *args, search=True)
+        # The join moves the window's bounds in place: one copy per call.
+        *arrays, bounds = args
+        counted = _join(iv_i, *arrays, bounds.copy(), search=False)
+        full = _join(iv_i, *arrays, bounds.copy(), search=True)
         assert counted[0] == full[0]
         calls.append((len(iv_i), search))
         return full if search else counted
@@ -837,6 +841,88 @@ def test_pruned_join_finds_the_winning_pair(join_calls):
     (total, counted), (kept, searched) = join_calls
     assert (counted, searched) == (False, True)
     assert 0 < kept < total / 2
+
+
+@pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
+def test_prune_keeps_both_intervals_of_every_pair_within_the_bound(family):
+    # Every interval [x_i, x_j], i <= j, in (i, j) order.  A bound at the
+    # least pair sum, at a low quantile of the sums and at the best single
+    # content: each in-window disjoint pair with fl(c_u + c_w) <= bound must
+    # keep both u and w, and the prune keeps no more than c_u + min(c).
+    rng = np.random.default_rng([25, len(family)])
+    dropped = 0
+    for n in rng.integers(16, 49, size=3):
+        space, window = _random_space(family, rng)
+        _, prefix, left_w, right_w = _grid_and_measures(space, window, int(n))
+        iv_i, iv_j = np.triu_indices(int(n))
+        iv_c = left_w[iv_i] + right_w[iv_j]
+        iv_m = prefix[iv_j] - prefix[iv_i]
+        v = rng.uniform(0.2, 0.8) * prefix[-1]
+        tau = rng.uniform(0.3, 3.0) * float(np.diff(prefix).max())
+        slot_iv, (lo, _) = _by_measure(iv_m, v, tau)
+        m = iv_m[:, None] + iv_m[None, :]
+        pair = (iv_i[None, :] > iv_j[:, None]) & (v - tau <= m) & (m <= v + tau)
+        sums = iv_c[:, None] + iv_c[None, :]
+        in_window = np.sort(sums[pair])
+        single = (v - tau <= iv_m) & (iv_m <= v + tau)
+        bounds = [in_window[0], in_window[len(in_window) // 10], iv_c[single].min()]
+        for bound in bounds:
+            kept = _prune(iv_c, slot_iv, lo, bound)
+            u, w = np.nonzero(pair & (sums <= bound))
+            assert np.isin(u, kept).all() and np.isin(w, kept).all()
+            assert (np.diff(kept) > 0).all()
+            assert np.isin(kept, np.flatnonzero(iv_c + iv_c.min() <= bound)).all()
+            dropped += len(iv_c) - len(kept)
+    assert dropped
+
+
+def test_prune_drops_an_interval_without_partners_only_below_an_infinite_bound():
+    # Measures 0.1 and 0.3 cannot reach v - tau = 0.95 together: both
+    # windows are empty at lo = M, where least is inf.
+    iv_c = np.array([1.0, 2.0])
+    slot_iv = np.array([0, 1])
+    lo, hi = _pair_window(np.array([0.1, 0.3]), 1.0, 0.05)
+    assert (lo == 2).all() and (hi == 2).all()
+    assert len(_prune(iv_c, slot_iv, lo, 100.0)) == 0
+    assert list(_prune(iv_c, slot_iv, lo, math.inf)) == [0, 1]
+
+
+@pytest.mark.parametrize("offset", [0, 2**15 - 30, 2**16 - 30, 2**31 - 61])
+def test_join_matches_brute_force_across_coordinate_widths(offset):
+    # Starts and ends run as int16 below 2**15, as int32 from there on: the
+    # intervals cross 2**15 and 2**16, or reach the top of int32.
+    rng = np.random.default_rng(offset)
+    ends = np.sort(rng.integers(0, 60, size=(300, 2)), axis=1) + offset
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    iv_i, iv_j = ends[:, 0], ends[:, 1]
+    iv_m = rng.integers(0, 8, size=300) * 0.125
+    iv_c = rng.integers(0, 20, size=300) * 0.5
+    v, tau = 1.0, 0.125
+    slot_iv, bounds = _by_measure(iv_m, v, tau)
+    count, u, w = _join(iv_i, iv_j, iv_c, slot_iv, bounds.copy(), search=True)
+    assert _join(iv_i, iv_j, iv_c, slot_iv, bounds, search=False)[0] == count
+    m = iv_m[:, None] + iv_m[None, :]
+    pair = (iv_i[None, :] > iv_j[:, None]) & (v - tau <= m) & (m <= v + tau)
+    assert count == pair.sum() > 0
+    has = np.flatnonzero(pair.any(axis=1))
+    least = [min(np.flatnonzero(row), key=lambda k: (iv_c[k], k)) for row in pair[has]]
+    order = np.argsort(u)
+    assert (u[order] == has).all() and (w[order] == least).all()
+
+
+def test_cone_search_join_gets_under_one_percent_of_the_intervals(join_calls):
+    # The criterion-6 cone: the rule c_u + min(c) <= bound kept about 21.6%
+    # of the intervals for the search join, the partner window's least
+    # content keeps under 1%.  The count join still gets them all.
+    cone = WeightedInterval(math.inf, MonomialDensity(2.0 * math.pi, 1.0))
+    cfg = SearchConfig(target_volume=0.0, volume_tolerance=1e-9, grid_points=512,
+                       max_components=2)
+    for v in (0.2, 1.0, 2.0):
+        join_calls.clear()
+        certify_bound(cone, 2.0, 1.0, [v], cfg)
+        (total, counted), *searches = join_calls
+        assert not counted and total > 10_000
+        assert sum(kept for kept, _ in searches) < 0.01 * total
 
 
 def _assert_matches_naive_and_reference(space, window, n, v, tau):
