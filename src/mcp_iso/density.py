@@ -53,9 +53,10 @@ _QUOTIENT_ROUNDING = 16 * np.finfo(float).eps
 _RATIO_RTOL = 1e-12
 # Width in N at which minimal_mcp_dimension stops bisecting.
 _BISECT_WIDTH = 1e-12
-# Relative half-width of the bracket minimal_mcp_dimension checks around its
-# secant guess; the guess misses by ~1e-9 (the _RATIO_RTOL term).
-_GUESS_BRACKET = 1e-8
+# Relative half-widths of the brackets minimal_mcp_dimension checks around
+# its secant guess, narrowest first.  The guess allows for _RATIO_RTOL and
+# misses by ~1e-12; the wider rung is the fallback when the first misses.
+_GUESS_BRACKETS = (1e-11, 1e-8)
 # A gap in log x (or log(D - x)) that _secant_guess takes for rounding dust,
 # as left where np.unique merges a breakpoint into the sample grid.
 _DUST_GAP = 1e-9
@@ -527,17 +528,23 @@ def _secant_guess(samples: list[tuple[np.ndarray, np.ndarray]], D: float) -> flo
     log x and, on [0, D], against log(D - x): near the least N that passes.
 
     The ratio bounds at N say that no secant is steeper than N - 1, and the
-    steepest secant over all pairs joins neighbours.  Non-finite secants
-    (zeros of h, x = 0 or x = D) and gaps of rounding dust in the abscissa
-    are skipped.  -inf when no secant is left.
+    steepest secant over all pairs joins neighbours.  Each rise first gives
+    up the _RATIO_RTOL excess the scan forgives (log1p of it against log x,
+    of its negative against log(D - x)), so the guess lands within rounding
+    of the least N that passes.  Non-finite secants (zeros of h, x = 0 or
+    x = D) and gaps of rounding dust in the abscissa are skipped.  -inf when
+    no secant is left.
     """
     steepest = -math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for xs, hv in samples:
             rise = np.diff(np.log(hv))
-            axes = [xs] if math.isinf(D) else [xs, D - xs]
-            for run in (np.diff(np.log(a)) for a in axes):
-                slope = rise / run
+            axes = [(xs, _RATIO_RTOL)]
+            if not math.isinf(D):
+                axes.append((D - xs, -_RATIO_RTOL))
+            for a, rtol in axes:
+                run = np.diff(np.log(a))
+                slope = (rise - math.log1p(rtol)) / run
                 slope = slope[np.isfinite(slope) & (np.abs(run) > _DUST_GAP)]
                 if slope.size:
                     steepest = max(steepest, float(slope.max()))
@@ -585,14 +592,15 @@ def minimal_mcp_dimension(
     the sampled grid only (the tail stays unverified).
 
     h is sampled once; each check costs one O(n) scan.  The steepest secant
-    of the samples (_secant_guess) lands within ~1e-9 of the answer, so the
-    two checks at guess * (1 -+ 1e-8) bracket it first.  The bisection then
-    takes the same midpoints from [n_lo, n_hi] and stops at the same width,
-    but a midpoint at or above a passed N passes and one at or below a failed
-    N fails without a scan; only those between are checked.  The guess is
+    of the samples (_secant_guess) lands within ~1e-12 of the answer, so the
+    two checks at guess * (1 -+ 1e-11) bracket it first, and the two at
+    guess * (1 -+ 1e-8) only when those miss.  The bisection then takes the
+    same midpoints from [n_lo, n_hi] and stops at the same width, but a
+    midpoint at or above a passed N passes and one at or below a failed N
+    fails without a scan; only those between are checked.  The guess is
     never a decision, only a place to check: by upward closure each skipped
     scan would have given the answer assumed, so the result is that of the
-    plain bisection whatever the guess, and a wrong guess costs two scans.
+    plain bisection whatever the guess, and a wrong guess costs three scans.
     """
     D = _validate_domain(D)
     if not n_lo > 1.0:
@@ -608,12 +616,16 @@ def minimal_mcp_dimension(
     # The largest N known to fail and the smallest known to pass.
     failed, passed = lo, hi
     guess = _secant_guess(samples, D)
-    for n in (guess * (1.0 - _GUESS_BRACKET), guess * (1.0 + _GUESS_BRACKET)):
-        if failed < n < passed:
-            if check(n).passed:
-                passed = n
-            else:
-                failed = n
+    for width in _GUESS_BRACKETS:
+        below, above = guess * (1.0 - width), guess * (1.0 + width)
+        for n in (below, above):
+            if failed < n < passed:
+                if check(n).passed:
+                    passed = n
+                else:
+                    failed = n
+        if below <= failed and passed <= above:
+            break
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid >= passed or (mid > failed and check(mid).passed):

@@ -17,10 +17,13 @@ from mcp_iso import density
 from mcp_iso.density import _BISECT_WIDTH, _ratio_check, _secant_guess, minimal_mcp_dimension
 
 INF = math.inf
-# A bracket the bisection reaches in ~16 scans, plus the two endpoint checks,
-# the two checks around the guess and a few steps of slack; a bisection
-# from [1.01, 30] down to 1e-12 takes ~47 checks.
-MAX_CHECKS = 26
+# The two endpoint checks, the two at guess * (1 -+ 1e-11), the ~7 midpoints
+# the bisection scans inside that bracket and a few steps of slack; a
+# bisection from [1.01, 30] down to 1e-12 takes ~47 checks.
+MAX_CHECKS = 14
+# The same when the first bracket misses and the guess * (1 -+ 1e-8) rung
+# holds the answer: ~16 midpoints inside it.
+MAX_CHECKS_ON_A_MISS = 26
 
 
 def reference_minimal_dimension(h, D, n_lo, n_hi, grid_points) -> Optional[float]:
@@ -163,4 +166,32 @@ def test_dust_gaps_do_not_steer_the_guess():
     samples = _ratio_check(h, D, grid_points)[1]
     assert np.diff(np.log(samples[0][0])).min() < 1e-12
     found = minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
-    assert _secant_guess(samples, D) == pytest.approx(found, rel=1e-8)
+    assert _secant_guess(samples, D) == pytest.approx(found, rel=1e-11)
+
+
+@pytest.mark.parametrize("name", list(_workload_shapes()))
+def test_a_missed_first_bracket_keeps_the_result(name, check_count, monkeypatch):
+    # Off by -+1e-9 the guess leaves the 1e-11 bracket and the 1e-8 rung
+    # holds the answer; at n_hi both rungs miss and the bisection scans on.
+    h, D, grid_points = _workload_shapes()[name]
+    expected = reference_minimal_dimension(h, D, 1.01, 30.0, grid_points)
+    guess = _secant_guess(_ratio_check(h, D, grid_points)[1], D)
+    for wrong, budget in (
+        (guess * (1.0 - 1e-9), MAX_CHECKS_ON_A_MISS),
+        (guess * (1.0 + 1e-9), MAX_CHECKS_ON_A_MISS),
+        (30.0, INF),
+    ):
+        monkeypatch.setattr(density, "_secant_guess", lambda samples, D: wrong)
+        check_count[0] = 0
+        assert repr(minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)) == repr(expected)
+        assert check_count[0] <= budget
+
+
+def test_guess_keeps_the_mean_scan_count_low(check_count):
+    # ~9.2 checks per call here; the +-1e-8 bracket alone, around a guess
+    # that ignores _RATIO_RTOL, took ~16.4.
+    cases = list(_corpus(np.random.default_rng(20261018)))
+    check_count[0] = 0
+    for h, D, grid_points in cases:
+        minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
+    assert check_count[0] / len(cases) <= 10.0
