@@ -120,6 +120,14 @@ def _unit_solve(N: float, v: np.ndarray):
     return np.where(right, 1.0 - a, a), _left_terms(N, t)[2]
 
 
+def _per_diameter(N: float, D: float, f_unit: np.ndarray) -> np.ndarray:
+    """f_unit / D, the factor f on diameter D; a DomainError where it
+    overflows.  Division is monotone, so the largest element decides."""
+    if f_unit.size and float(f_unit.max()) / D == math.inf:
+        raise DomainError(f"the profile factor f leaves the float range at N={N}, D={D}")
+    return f_unit / D
+
+
 def eval_f(N: float, D: float, x):
     """The boundary-size factor f at interior points x of [0, D]."""
     N = require_dimension(N)
@@ -127,7 +135,7 @@ def eval_f(N: float, D: float, x):
     x = _inputs("x", x, 0.0, D, closed=False)
     xi = x / D
     f = _left_terms(N, np.log(np.minimum(xi, 1.0 - xi)))[2]
-    return float_or_array(f / D)
+    return float_or_array(_per_diameter(N, D, f))
 
 
 def eval_v(N: float, D: float, a):
@@ -177,7 +185,7 @@ def profile_mcp(N: float, D: float, v) -> ProfileResult:
     if inner.any():
         a_unit, f_unit = _unit_solve(N, v[inner])
         a[inner] = D * a_unit
-        f[inner] = f_unit / D
+        f[inner] = _per_diameter(N, D, f_unit)
     v, a, f = map(float_or_array, (v, a, f))
     return ProfileResult(N, D, v, a, f, f)
 

@@ -25,11 +25,9 @@ c_w, and the window is symmetric in u and w; rounding is monotone, so
 fl(c_u + c_w) <= bound keeps both u and w, and every pair left out loses to
 that set.  The test runs only on the u with c_u + min(c) <= bound, often
 none.  On the needle the best set is mostly one interval [0, r], and few or
-no intervals are kept.  Where more than half are, one join over all
-intervals gives both the count and the best pair.  A pair's window is
-symmetric in its two intervals, so _pair_window reads about half of it off
-the other half.  The join's level loop holds starts and ends as int16 on
-grids below 2**15 points.
+no intervals are kept.  A pair's window is symmetric in its two intervals,
+so _pair_window reads about half of it off the other half.  The join's
+level loop holds starts and ends as int16 on grids below 2**15 points.
 """
 
 from __future__ import annotations
@@ -104,7 +102,8 @@ _last_grid: tuple = (None, None, None, ())
 
 def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int):
     """The grid xs on [0, window], its prefix measures and the left- and
-    right-end weights, as read-only arrays.
+    right-end weights, as read-only arrays.  The prefix measures do not
+    decrease, so a last one past the float range is a DomainError.
 
     The last grid is kept and served again to the same space object (not to
     an equal one), window and grid size: certify_bound reads a volume's gap
@@ -114,7 +113,10 @@ def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int)
     if last_space is space and last_window == window and last_points == grid_points:
         return arrays
     xs = np.linspace(0.0, window, grid_points)
-    prefix = space.h.integral(0.0, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = space.h.integral(0.0, xs)
+    if not math.isfinite(prefix[-1]):
+        raise DomainError(f"the prefix measures on the window [0, {window}] leave the float range")
     hv = space.h(xs)
     left_w = np.where(xs > 0.0, hv, 0.0)
     right_w = np.where(xs < space.D, hv, 0.0)
@@ -355,17 +357,13 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         # (module docstring); the count needs all of them but no ranks.
         bound = min(candidates)[0] if candidates else math.inf
         kept = _prune(iv_c, slot_iv, bounds[0], bound)
-        arrays = (iv_i, iv_j, iv_c)
-        if 2 * len(kept) > len(iv_i):  # one join over all, not two passes
-            pairs, u, w = _join(*arrays, slot_iv, bounds, search=True)
-        else:
-            pairs, _, _ = _join(*arrays, slot_iv, bounds, search=False)
-            u = w = kept[:0]
-            if len(kept):
-                kept_arrays = (a[kept] for a in arrays)
-                _, u, w = _join(*kept_arrays, *_by_measure(iv_m[kept], v, tau), search=True)
-                u, w = kept[u], kept[w]
+        pairs, _, _ = _join(iv_i, iv_j, iv_c, slot_iv, bounds, search=False)
         examined += pairs
+        u = w = kept[:0]
+        if len(kept):
+            kept_arrays = (a[kept] for a in (iv_i, iv_j, iv_c))
+            _, u, w = _join(*kept_arrays, *_by_measure(iv_m[kept], v, tau), search=True)
+            u, w = kept[u], kept[w]
 
         # Best partner per u first, then the least (content, endpoints) over u.
         finite = iv_c[w] < math.inf  # a partner of infinite content is no candidate
@@ -418,7 +416,9 @@ def certify_bound(
     window), and the per-volume tolerance is widened to at least the measure
     gap so the window is always feasible.  Each volume builds one grid: the
     brute_force_profile call that searches it gets the grid the gap and slack
-    were read from.
+    were read from.  A window or a slack that leaves the float range is a
+    DomainError naming v, N and avr; the window is checked before its grid
+    is built.
     """
     N = require_dimension(N)
     if not 0.0 <= avr_value < math.inf:
@@ -434,12 +434,25 @@ def certify_bound(
         if cfg.window is None and not math.isfinite(space.D):
             if avr_value <= 0.0:
                 raise DomainError("half-line certification needs avr > 0 to size the window")
-            window = 4.0 * cone_radius(N, avr_value, v)
+            try:
+                window = 4.0 * cone_radius(N, avr_value, v)
+            except OverflowError:
+                window = math.inf
         else:
             window = _resolve_window(space, cfg)
+        if not math.isfinite(window):
+            raise DomainError(
+                f"the search window leaves the float range at v={v}, N={N}, avr={avr_value}"
+            )
         _, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
         gap = float(np.diff(prefix).max())
-        slack = gap * float(np.maximum(left_w, right_w).max())  # max h on the grid
+        max_h = float(np.maximum(left_w, right_w).max())
+        slack = gap * max_h
+        if not math.isfinite(slack):
+            raise DomainError(
+                f"the slack gap * max h = {gap} * {max_h} leaves the float range "
+                f"at v={v}, N={N}, avr={avr_value}"
+            )
         run_cfg = replace(
             cfg,
             target_volume=v,

@@ -270,6 +270,9 @@ PLANE_MODEL = {"theta": 2.0 * math.pi, "weight": {"type": "monomial", "c": 1.0, 
 INFINITE_ANGLE_MODEL = {**PLANE_MODEL, "theta": "1e400"}
 HUGE_ANGLE_MODEL = {**PLANE_MODEL, "theta": 1e300}
 TINY_ANGLE_MODEL = {**PLANE_MODEL, "theta": 1e-320}
+CONE_SPACE = {"D": "inf", "density": {"type": "monomial", "c": 1, "p": 1}}
+HUGE_TABLE_SPACE = {"D": 3, "density": {"type": "tabulated", "grid": [0, 1, 2, 3],
+                                        "values": [1e308, 1e308, 1e308, 1e308]}}
 
 
 def search_files(**config):
@@ -342,6 +345,16 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("bounds", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
         (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
         (("sharp", "--avr", "1", "--mass", "1e40", "--N", "400"), {}),
+        (("search",), search_files(avr=1e-300)),
+        (("search",), {"--space": CONE_SPACE,
+                       "--config": {"N": 2, "volumes": [1e300], "avr": 1}}),
+        (("search",), search_files(N=1.01, volumes=[1e300], avr=1e-300)),
+        (("search",), search_files(N=1.01, volumes=[1.0], avr=1e-320)),
+        (("search",), search_files(volumes=[1e300])),
+        (("search",), {"--space": HUGE_TABLE_SPACE, "--config": {"N": 2, "volumes": [1.0]}}),
+        (("search",), {"--space": HUGE_TABLE_SPACE,
+                       "--config": {"N": 2, "volumes": [1.0], "max_components": 1}}),
+        (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {}),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -357,7 +370,10 @@ def run_with_files(capsys, tmp_path, argv, files):
         "avr-r-max", "search-unknown-field", "localize-theta-inf",
         "localize-ray-mass-zero", "localize-ray-mass-subnormal", "localize-ray-mass-inf",
         "localize-quotient-mass-inf", "localize-quotient-mass-zero", "bounds-overflow", "bounds-lgamma-overflow", "sharp-lgamma-overflow",
-        "sharp-tail-integral-overflow",
+        "sharp-tail-integral-overflow", "search-slack-overflow", "search-cone-slack-overflow",
+        "search-window-overflow", "search-window-radius-overflow",
+        "search-slack-overflow-positive-margin",
+        "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -399,12 +415,30 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
         (("sharp", "--avr", "1", "--mass", "1e40", "--N", "400"), {},
          "SharpDensity(avr=1.0, mass=1e+40, N=400.0): the integral of its piece x^399 "
          "from x = 6.05567 leaves the float range"),
+        (("search",), search_files(avr=1e-300), "at v=0.5, N=2.0, avr=1e-300"),
+        (("search",), {"--space": CONE_SPACE, "--config": {"N": 2, "volumes": [1e300], "avr": 1}},
+         "the slack gap * max h = "),
+        (("search",), search_files(N=1.01, volumes=[1e300], avr=1e-300),
+         "the search window leaves the float range at v=1e+300, N=1.01, avr=1e-300"),
+        (("search",), search_files(N=1.01, volumes=[1.0], avr=1e-320),
+         "the search window leaves the float range at v=1.0, N=1.01, avr=1e-320"),
+        (("search",), search_files(volumes=[1e300]), "at v=1e+300, N=2.0, avr=0.2"),
+        (("search",), {"--space": HUGE_TABLE_SPACE, "--config": {"N": 2, "volumes": [1.0]}},
+         "the prefix measures on the window [0, 3.0] leave the float range"),
+        (("search",), {"--space": HUGE_TABLE_SPACE,
+                       "--config": {"N": 2, "volumes": [1.0], "max_components": 1}},
+         "the prefix measures on the window [0, 3.0] leave the float range"),
+        (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {},
+         "leaves the float range at N=2.0, D=1e-320"),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
          "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
          "localize-ray-mass-subnormal", "localize-ray-mass-inf", "localize-quotient-mass-inf",
          "localize-quotient-mass-zero", "bounds-overflow",
-         "bounds-lgamma-overflow", "sharp-lgamma-overflow", "sharp-tail-integral-overflow"],
+         "bounds-lgamma-overflow", "sharp-lgamma-overflow", "sharp-tail-integral-overflow",
+         "search-slack-overflow", "search-cone-slack-overflow", "search-window-overflow",
+         "search-window-radius-overflow", "search-slack-overflow-positive-margin",
+         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
     # A non-finite endpoint or volume, or a point count below 1, is reported

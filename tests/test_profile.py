@@ -139,6 +139,21 @@ def test_profile_golden_and_endpoints():
         profile_mcp(2.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_f(2.0, 1e-320, 5e-321),
+        lambda: profile_mcp(2.0, 1e-320, np.array([0.0, 0.3, 1.0])),
+    ],
+    ids=["eval-f", "profile"],
+)
+def test_a_factor_past_the_float_range_names_n_and_d(call):
+    # f on the unit diameter is at most 1/ln 2, and f / D overflows below D ~ 1e-308.
+    with pytest.raises(DomainError, match=r"float range at N=2\.0, D=1e-320$"):
+        call()
+    assert eval_f(2.0, 1e-300, 5e-301) == pytest.approx(2.0 / 3.0 * 1e300, rel=1e-12)
+
+
 def test_profile_at_large_n_has_no_overflow():
     # v = 1/2 is the symmetric point: a = 1/2 and profile = N / (2^N - 1).
     res = profile_mcp(30.0, 1.0, 0.5)

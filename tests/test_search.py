@@ -819,13 +819,16 @@ def test_join_count_part_matches_full_join(family, join_calls):
 
 def test_join_without_a_single_searches_all_intervals_once(join_calls):
     # No single interval meets the window: tau is half the least miss of
-    # any single measure, so nothing bounds the pair and nothing is pruned.
+    # any single measure, so nothing bounds the pair and nothing is pruned;
+    # the count runs over all intervals, then the search over all of them.
     space, n, v = WeightedInterval(1.0, MonomialDensity(1.0, 1.0)), 96, 0.2325
     prefix = _grid_and_measures(space, 1.0, n)[1]
     tau = 0.5 * np.abs((prefix[None, :] - prefix[:, None])[np.triu_indices(n)] - v).min()
     out = _assert_join_matches(space, 1.0, n, v, tau)
     assert len(out.best_set.components) == 2
-    assert [searched for _, searched in join_calls] == [True]
+    (total, counted), (kept, searched) = join_calls
+    assert (counted, searched) == (False, True)
+    assert kept == total
 
 
 def test_pruned_join_finds_the_winning_pair(join_calls):
