@@ -441,10 +441,19 @@ def _sample_grid(h: Density, D: float, grid_points: int, half_line_end: float) -
     return pts
 
 
-def _sampled_witness(
-    xs: np.ndarray, hv: np.ndarray, D: float, N: float, rel_tol: float
-) -> Optional[Witness]:
-    """The lexicographically smallest sampled pair violating the bounds.
+def _rises(a, b, rel):
+    return a > b + rel * np.maximum(a, b)
+
+
+def _falls(a, b, rel):
+    return a < b - rel * np.maximum(a, b)
+
+
+def _witness_scan(
+    xs: np.ndarray, hv: np.ndarray, D: float, rel_tol: float
+) -> Callable[[float], Optional[Witness]]:
+    """A function mapping N to the lexicographically smallest pair of the
+    ascending samples xs violating the ratio bounds at N, or None.
 
     Over all pairs, the upper bound says g = h / x^(N-1) is non-increasing
     and the lower bound says q = h / (D - x)^(N-1) (h itself on the half
@@ -453,47 +462,84 @@ def _sampled_witness(
     of the quotients, so a scan of the cross-multiplied pairs (i, j > i)
     confirms them in order; the first confirmed i and its first partner j
     are exactly the witness of the cross-multiplied form over all pairs
-    (while the powers neither overflow nor underflow).  Only a row within
-    rounding of rel_tol is flagged and not confirmed.
+    (while the powers do not underflow).  Only a row within rounding of
+    rel_tol is flagged and not confirmed.
+
+    What does not depend on N is prepared once: D - x, the suffix-extremum
+    buffers and, on the half line, the lower bound's flags, as there q = h.
+    A power past the float range (each side's largest: x^(N-1) at the last
+    sample, (D - x)^(N-1) at the first) is a DomainError naming N and that
+    sample.
     """
-    xw = xs ** (N - 1.0)
-    dw = np.ones_like(xs) if math.isinf(D) else (D - xs) ** (N - 1.0)
-
-    def rises(a, b, rel):
-        return a > b + rel * np.maximum(a, b)
-
-    def falls(a, b, rel):
-        return a < b - rel * np.maximum(a, b)
-
-    # A sample at x = 0 never violates the upper bound, one at x = D never
-    # the lower bound: both sides of their cross-multiplied form vanish.
-    up_ok, lo_ok = xw > 0.0, dw > 0.0
+    half_line = math.isinf(D)
     loose = rel_tol - _QUOTIENT_ROUNDING
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(up_ok, hv / xw, -np.inf)
-        q = np.where(lo_ok, hv / dw, np.inf)
-        later_max = np.append(np.maximum.accumulate(g[::-1])[-2::-1], -np.inf)
-        later_min = np.append(np.minimum.accumulate(q[::-1])[-2::-1], np.inf)
-        flagged = (up_ok & rises(later_max, g, loose)) | (lo_ok & falls(later_min, q, loose))
-    for i in np.flatnonzero(flagged):
-        up_lhs, up_rhs = hv[i + 1:] * xw[i], hv[i] * xw[i + 1:]
-        lo_lhs, lo_rhs = hv[i + 1:] * dw[i], hv[i] * dw[i + 1:]
-        up = rises(up_lhs, up_rhs, rel_tol)
-        viol = up | falls(lo_lhs, lo_rhs, rel_tol)
-        if viol.any():
-            k = int(np.argmax(viol))
-            x0, x1 = float(xs[i]), float(xs[i + 1 + k])
-            if up[k]:
-                return Witness(x0, x1, "upper", float(up_lhs[k]), float(up_rhs[k]))
-            return Witness(x0, x1, "lower", float(lo_lhs[k]), float(lo_rhs[k]))
-    return None
+    # later_*[i] is the extremum over the samples after i; none follows the last.
+    later_max = np.full(len(xs), -np.inf)
+    later_min = np.full(len(xs), np.inf)
+    if half_line:
+        ones = np.ones_like(xs)
+        with np.errstate(invalid="ignore"):
+            np.minimum.accumulate(hv[:0:-1], out=later_min[-2::-1])
+            lo_flagged = _falls(later_min, hv, loose)
+    else:
+        room = D - xs
+
+    def witness(N: float) -> Optional[Witness]:
+        with np.errstate(over="ignore"):
+            xw = xs ** (N - 1.0)
+            dw = ones if half_line else room ** (N - 1.0)
+        if not math.isfinite(xw[-1]):
+            raise DomainError(
+                f"the ratio check's x^(N-1) leaves the float range at N={N}, sample x={xs[-1]}"
+            )
+        if not math.isfinite(dw[0]):
+            raise DomainError(
+                f"the ratio check's (D - x)^(N-1) leaves the float range at N={N}, "
+                f"sample x={xs[0]}, D={D}"
+            )
+        # A sample at x = 0 never violates the upper bound, one at x = D never
+        # the lower bound: both sides of their cross-multiplied form vanish.
+        up_ok = xw > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(up_ok, hv / xw, -np.inf)
+            np.maximum.accumulate(g[:0:-1], out=later_max[-2::-1])
+            flagged = up_ok & _rises(later_max, g, loose)
+            if half_line:
+                flagged |= lo_flagged
+            else:
+                lo_ok = dw > 0.0
+                q = np.where(lo_ok, hv / dw, np.inf)
+                np.minimum.accumulate(q[:0:-1], out=later_min[-2::-1])
+                flagged |= lo_ok & _falls(later_min, q, loose)
+        for i in np.flatnonzero(flagged):
+            up_lhs, up_rhs = hv[i + 1:] * xw[i], hv[i] * xw[i + 1:]
+            lo_lhs, lo_rhs = hv[i + 1:] * dw[i], hv[i] * dw[i + 1:]
+            up = _rises(up_lhs, up_rhs, rel_tol)
+            viol = up | _falls(lo_lhs, lo_rhs, rel_tol)
+            if viol.any():
+                k = int(np.argmax(viol))
+                x0, x1 = float(xs[i]), float(xs[i + 1 + k])
+                if up[k]:
+                    return Witness(x0, x1, "upper", float(up_lhs[k]), float(up_rhs[k]))
+                return Witness(x0, x1, "lower", float(lo_lhs[k]), float(lo_rhs[k]))
+        return None
+
+    return witness
+
+
+def _sampled_witness(
+    xs: np.ndarray, hv: np.ndarray, D: float, N: float, rel_tol: float
+) -> Optional[Witness]:
+    """The witness at N of a freshly prepared _witness_scan."""
+    return _witness_scan(xs, hv, D, rel_tol)(N)
 
 
 def _ratio_check(
     h: Density, D: float, grid_points: int
 ) -> tuple[Callable[[float], Verdict], list[tuple[np.ndarray, np.ndarray]]]:
     """Sample h once: a function mapping N to the Verdict of check_mcp_density,
-    and the sample sets (xs, h(xs)) it scans."""
+    and the sample sets (xs, h(xs)) it scans, each prepared once for the
+    scan (_witness_scan)."""
     require_count("grid_points", grid_points, 2)
     # Pairs inside the last piece reduce to its exponent, so on the half line
     # the pair (b, 2b) at the last breakpoint (b = 1 with none) checks the
@@ -512,10 +558,11 @@ def _ratio_check(
         xs = _sample_grid(h, D, grid_points, b)
         sets, used, status = [xs] + tail, len(xs), PASS_SAMPLED
     samples = [(xs, h(xs)) for xs in sets]
+    scans = [_witness_scan(xs, hv, D, _RATIO_RTOL) for xs, hv in samples]
 
     def verdict(N: float) -> Verdict:
-        for xs, hv in samples:
-            witness = _sampled_witness(xs, hv, D, N, _RATIO_RTOL)
+        for scan in scans:
+            witness = scan(N)
             if witness is not None:
                 return Verdict(FAIL, witness, samples_used=used)
         return Verdict(status, samples_used=used)
@@ -591,16 +638,19 @@ def minimal_mcp_dimension(
     fails.  For a tabulated density on the half line the result certifies
     the sampled grid only (the tail stays unverified).
 
-    h is sampled once; each check costs one O(n) scan.  The steepest secant
-    of the samples (_secant_guess) lands within ~1e-12 of the answer, so the
-    two checks at guess * (1 -+ 1e-11) bracket it first, and the two at
-    guess * (1 -+ 1e-8) only when those miss.  The bisection then takes the
-    same midpoints from [n_lo, n_hi] and stops at the same width, but a
-    midpoint at or above a passed N passes and one at or below a failed N
-    fails without a scan; only those between are checked.  The guess is
-    never a decision, only a place to check: by upward closure each skipped
-    scan would have given the answer assumed, so the result is that of the
-    plain bisection whatever the guess, and a wrong guess costs three scans.
+    h is sampled and each sample set prepared once; each check costs one
+    O(n) scan.  The steepest secant of the samples (_secant_guess) lands
+    within ~1e-12 of the answer, so the two checks at guess * (1 -+ 1e-11)
+    bracket it first, and the two at guess * (1 -+ 1e-8) only when those
+    miss; a bracket end is checked only strictly inside (n_lo, n_hi).  Then
+    n_hi is checked only if no bracket check passed, and n_lo only if none
+    failed.  The bisection takes the same midpoints from [n_lo, n_hi] and
+    stops at the same width, but a midpoint at or above a passed N passes
+    and one at or below a failed N fails without a scan; only those between
+    are checked.  The guess is never a decision, only a place to check: by
+    upward closure each skipped scan would have given the answer assumed, so
+    the result is that of the plain bisection whatever the guess, and a
+    wrong guess costs a few scans.
     """
     D = _validate_domain(D)
     if not n_lo > 1.0:
@@ -608,12 +658,9 @@ def minimal_mcp_dimension(
     if not n_lo < n_hi < math.inf:
         raise DomainError(f"need n_lo < n_hi < inf, got [{n_lo}, {n_hi}]")
     check, samples = _ratio_check(h, D, grid_points)
-    if not check(n_hi).passed:
-        return None
-    if check(n_lo).passed:
-        return float(n_lo)
     lo, hi = float(n_lo), float(n_hi)
-    # The largest N known to fail and the smallest known to pass.
+    # The largest N known to fail and the smallest known to pass, once the
+    # ends are checked; the brackets are checked inside (lo, hi) first.
     failed, passed = lo, hi
     guess = _secant_guess(samples, D)
     for width in _GUESS_BRACKETS:
@@ -626,6 +673,11 @@ def minimal_mcp_dimension(
                     failed = n
         if below <= failed and passed <= above:
             break
+    # A passed bracket implies that n_hi passes, a failed one that n_lo fails.
+    if passed == hi and not check(hi).passed:
+        return None
+    if failed == lo and check(lo).passed:
+        return lo
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid >= passed or (mid > failed and check(mid).passed):

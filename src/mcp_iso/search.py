@@ -91,8 +91,22 @@ def _resolve_window(space: WeightedInterval, cfg: SearchConfig) -> float:
     if isinstance(h, SharpDensity):
         # The extremal set and its competitors at comparable volume live well
         # inside four switch radii.
-        return 4.0 * cone_radius(h.N, h.avr, max(cfg.target_volume, h.mass))
+        window = _cone_window(h.N, h.avr, max(cfg.target_volume, h.mass))
+        if not math.isfinite(window):
+            raise DomainError(
+                f"the default search window leaves the float range at target volume "
+                f"{cfg.target_volume}, mass {h.mass}"
+            )
+        return window
     raise DomainError("searching a half-line space requires an explicit window")
+
+
+def _cone_window(N: float, avr: float, volume: float) -> float:
+    """Four radii of the cone ball of this volume, inf past the float range."""
+    try:
+        return 4.0 * cone_radius(N, avr, volume)
+    except OverflowError:
+        return math.inf
 
 
 # The last grid built: (space, window, grid_points, arrays).  It holds the
@@ -434,10 +448,8 @@ def certify_bound(
         if cfg.window is None and not math.isfinite(space.D):
             if avr_value <= 0.0:
                 raise DomainError("half-line certification needs avr > 0 to size the window")
-            try:
-                window = 4.0 * cone_radius(N, avr_value, v)
-            except OverflowError:
-                window = math.inf
+            # At v = 0 the window is sized as for the volume tolerance.
+            window = _cone_window(N, avr_value, max(v, cfg.volume_tolerance))
         else:
             window = _resolve_window(space, cfg)
         if not math.isfinite(window):

@@ -273,6 +273,10 @@ TINY_ANGLE_MODEL = {**PLANE_MODEL, "theta": 1e-320}
 CONE_SPACE = {"D": "inf", "density": {"type": "monomial", "c": 1, "p": 1}}
 HUGE_TABLE_SPACE = {"D": 3, "density": {"type": "tabulated", "grid": [0, 1, 2, 3],
                                         "values": [1e308, 1e308, 1e308, 1e308]}}
+# x^1.5, then c * x^0.6 from x = 1.5 on [0, 3]: its least passing N is 2.5.
+PIECEWISE_SPACE = {"D": 3.0, "density": {
+    "type": "piecewise_monomial", "breakpoints": [1.5],
+    "pieces": [{"c": 1.0, "p": 1.5}, {"c": 1.5 ** 0.9, "p": 0.6}]}}
 
 
 def search_files(**config):
@@ -355,6 +359,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("search",), {"--space": HUGE_TABLE_SPACE,
                        "--config": {"N": 2, "volumes": [1.0], "max_components": 1}}),
         (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {}),
+        (("validate-density", "--N", "1000"), {"--space": PIECEWISE_SPACE}),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -374,6 +379,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         "search-window-overflow", "search-window-radius-overflow",
         "search-slack-overflow-positive-margin",
         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
+        "ratio-power-overflow",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -430,6 +436,8 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "the prefix measures on the window [0, 3.0] leave the float range"),
         (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {},
          "leaves the float range at N=2.0, D=1e-320"),
+        (("validate-density", "--N", "1000"), {"--space": PIECEWISE_SPACE},
+         "x^(N-1) leaves the float range at N=1000.0, sample x=3.0"),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
          "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
@@ -438,7 +446,8 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "bounds-lgamma-overflow", "sharp-lgamma-overflow", "sharp-tail-integral-overflow",
          "search-slack-overflow", "search-cone-slack-overflow", "search-window-overflow",
          "search-window-radius-overflow", "search-slack-overflow-positive-margin",
-         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow"],
+         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
+         "ratio-power-overflow"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
     # A non-finite endpoint or volume, or a point count below 1, is reported
@@ -449,6 +458,25 @@ def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, n
     assert code == 1
     assert named in err
     assert err.count("\n") == 1
+
+
+def test_min_dimension_scans_no_end_the_bracket_decides(capsys, tmp_path):
+    # At N = 1e308 the ratio check's powers leave the float range, but the
+    # bracket around the guess passes below it, so n_hi is never scanned.
+    code, out, err = run_with_files(
+        capsys, tmp_path, ("min-dimension", "--n-hi", "1e308"), {"--space": PIECEWISE_SPACE}
+    )
+    assert (code, out.splitlines()[1], err) == (0, "2.5", "")
+
+
+def test_search_at_volume_zero_on_the_half_line(capsys, tmp_path):
+    # The default window is sized at the volume tolerance, not at v = 0.
+    for space in (SHARP_SPACE, {"D": 2.0, "density": {"type": "constant", "c": 1.5}}):
+        code, out, err = run_with_files(
+            capsys, tmp_path, ("search",), {"--space": space, "--config": {"N": 2, "volumes": [0.0]}}
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("0,0,0,0,[],")
 
 
 def test_unknown_search_field_is_named(capsys, tmp_path):

@@ -14,16 +14,24 @@ from mcp_iso import (
     TabulatedDensity,
 )
 from mcp_iso import density
-from mcp_iso.density import _BISECT_WIDTH, _ratio_check, _secant_guess, minimal_mcp_dimension
+from mcp_iso.density import (
+    _BISECT_WIDTH,
+    _RATIO_RTOL,
+    _ratio_check,
+    _sampled_witness,
+    _secant_guess,
+    minimal_mcp_dimension,
+)
 
 INF = math.inf
-# The two endpoint checks, the two at guess * (1 -+ 1e-11), the ~7 midpoints
-# the bisection scans inside that bracket and a few steps of slack; a
-# bisection from [1.01, 30] down to 1e-12 takes ~47 checks.
-MAX_CHECKS = 14
+# The two checks at guess * (1 -+ 1e-11), the ~7 midpoints the bisection
+# scans inside that bracket and a few steps of slack (n_lo and n_hi are
+# checked only when the bracket leaves them open); a bisection from
+# [1.01, 30] down to 1e-12 takes ~47 checks.
+MAX_CHECKS = 12
 # The same when the first bracket misses and the guess * (1 -+ 1e-8) rung
 # holds the answer: ~16 midpoints inside it.
-MAX_CHECKS_ON_A_MISS = 26
+MAX_CHECKS_ON_A_MISS = 24
 
 
 def reference_minimal_dimension(h, D, n_lo, n_hi, grid_points) -> Optional[float]:
@@ -131,16 +139,16 @@ def _workload_shapes():
 
 
 @pytest.fixture
-def check_count(monkeypatch):
-    """Counts the checks (one O(n) scan of each sample set) made through
-    density._ratio_check."""
-    calls = [0]
+def checked(monkeypatch):
+    """The N of each check (one O(n) scan of each sample set) made through
+    density._ratio_check, in order."""
+    calls = []
 
     def counted_ratio_check(*args):
         check, samples = _ratio_check(*args)
 
         def counted(N):
-            calls[0] += 1
+            calls.append(N)
             return check(N)
 
         return counted, samples
@@ -150,13 +158,22 @@ def check_count(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(_workload_shapes()))
-def test_guess_saves_scans_on_the_benchmark_shapes(name, check_count):
+def test_guess_saves_scans_on_the_benchmark_shapes(name, checked):
     h, D, grid_points = _workload_shapes()[name]
     expected = reference_minimal_dimension(h, D, 1.01, 30.0, grid_points)
-    check_count[0] = 0
+    checked.clear()
     found = minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
     assert repr(found) == repr(expected)
-    assert check_count[0] <= MAX_CHECKS
+    assert len(checked) <= MAX_CHECKS
+
+
+@pytest.mark.parametrize("name", list(_workload_shapes()))
+def test_true_guess_checks_neither_end(name, checked):
+    # The bracket around the guess holds a failed and a passed N, which
+    # decide n_lo and n_hi by upward closure.
+    h, D, grid_points = _workload_shapes()[name]
+    minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
+    assert checked and 1.01 not in checked and 30.0 not in checked
 
 
 def test_dust_gaps_do_not_steer_the_guess():
@@ -170,7 +187,7 @@ def test_dust_gaps_do_not_steer_the_guess():
 
 
 @pytest.mark.parametrize("name", list(_workload_shapes()))
-def test_a_missed_first_bracket_keeps_the_result(name, check_count, monkeypatch):
+def test_a_missed_first_bracket_keeps_the_result(name, checked, monkeypatch):
     # Off by -+1e-9 the guess leaves the 1e-11 bracket and the 1e-8 rung
     # holds the answer; at n_hi both rungs miss and the bisection scans on.
     h, D, grid_points = _workload_shapes()[name]
@@ -182,16 +199,37 @@ def test_a_missed_first_bracket_keeps_the_result(name, check_count, monkeypatch)
         (30.0, INF),
     ):
         monkeypatch.setattr(density, "_secant_guess", lambda samples, D: wrong)
-        check_count[0] = 0
+        checked.clear()
         assert repr(minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)) == repr(expected)
-        assert check_count[0] <= budget
+        assert len(checked) <= budget
 
 
-def test_guess_keeps_the_mean_scan_count_low(check_count):
-    # ~9.2 checks per call here; the +-1e-8 bracket alone, around a guess
-    # that ignores _RATIO_RTOL, took ~16.4.
+def test_guess_keeps_the_mean_scan_count_low(checked):
+    # ~7.8 checks per call here (~9.2 when both ends were always checked);
+    # the +-1e-8 bracket alone, around a guess that ignores _RATIO_RTOL,
+    # took ~16.4.
     cases = list(_corpus(np.random.default_rng(20261018)))
-    check_count[0] = 0
+    checked.clear()
     for h, D, grid_points in cases:
         minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
-    assert check_count[0] / len(cases) <= 10.0
+    assert len(checked) / len(cases) <= 8.5
+
+
+def test_prepared_scans_match_fresh_ones_in_any_order_of_n():
+    # Each sample set is prepared once and scanned at many N, up and down,
+    # reusing its buffers; a scan prepared afresh at each N must agree.
+    rng = np.random.default_rng(20261019)
+    ns = rng.permutation(np.concatenate([np.geomspace(1.01, 30.0, 20), [2.0, 3.0, 2.0, 1.01]]))
+    kinds, passed = set(), set()
+    for h, D, grid_points in _corpus(np.random.default_rng(20261018)):
+        check, samples = _ratio_check(h, D, grid_points)
+        for xs, _ in samples:
+            kinds.add("bounded" if D < INF else "half-line" if len(xs) > 2 else "tail pair")
+        for N in ns:
+            verdict = check(N)
+            fresh = (_sampled_witness(xs, hv, D, N, _RATIO_RTOL) for xs, hv in samples)
+            witness = next((w for w in fresh if w is not None), None)
+            assert repr(verdict.witness) == repr(witness), (h, D, N)
+            passed.add(verdict.passed)
+    assert kinds == {"bounded", "half-line", "tail pair"}
+    assert passed == {True, False}
