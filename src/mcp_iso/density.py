@@ -49,14 +49,17 @@ _CONTINUITY_RTOL = 1e-12
 # h1/w1 vs h0/w0 from its cross-multiplied form h1*w0 vs h0*w1, as a share
 # of the compared values.
 _QUOTIENT_ROUNDING = 16 * np.finfo(float).eps
+# The least normal float: below it a ratio-check power can make h / power overflow.
+_NORMAL_MIN = np.finfo(float).tiny
 # Relative excess over a ratio bound that counts as rounding, not a violation.
 _RATIO_RTOL = 1e-12
 # Width in N at which minimal_mcp_dimension stops bisecting.
 _BISECT_WIDTH = 1e-12
-# Relative half-widths of the brackets minimal_mcp_dimension checks around
-# its secant guess, narrowest first.  The guess allows for _RATIO_RTOL and
-# misses by ~1e-12; the wider rung is the fallback when the first misses.
-_GUESS_BRACKETS = (1e-11, 1e-8)
+# How many levels above its last minimal_mcp_dimension takes the cells of
+# the bisection path replayed from its secant guess whose ends it checks,
+# narrowest first: 8 final cells wide, then 128, 32768 and 2^31.  The guess
+# allows for _RATIO_RTOL and lands within ~2 cells of the answer.
+_GUESS_LEVELS = (3, 7, 15, 31)
 # A gap in log x (or log(D - x)) that _secant_guess takes for rounding dust,
 # as left where np.unique merges a breakpoint into the sample grid.
 _DUST_GAP = 1e-9
@@ -467,11 +470,16 @@ def _witness_scan(
 
     What does not depend on N is prepared once: D - x, the suffix-extremum
     buffers and, on the half line, the lower bound's flags, as there q = h.
-    A power past the float range (each side's largest: x^(N-1) at the last
-    sample, (D - x)^(N-1) at the first) is a DomainError naming N and that
-    sample.
+    A power outside the normal float range is a DomainError naming N and
+    the sample: each side's largest (x^(N-1) at the last sample, (D - x)^(N-1)
+    at the first) overflows, and its least with a positive base (x^(N-1) at
+    the first sample with x > 0, (D - x)^(N-1) at the last with x < D) is
+    zero or subnormal, where h / power can overflow.
     """
     half_line = math.isinf(D)
+    # The samples at which each side's power is largest, then least.
+    x_ends = (len(xs) - 1, int(np.searchsorted(xs, 0.0, side="right")))
+    room_ends = () if half_line else (0, int(np.searchsorted(xs, D)) - 1)
     loose = rel_tol - _QUOTIENT_ROUNDING
     # later_*[i] is the extremum over the samples after i; none follows the last.
     later_max = np.full(len(xs), -np.inf)
@@ -488,15 +496,17 @@ def _witness_scan(
         with np.errstate(over="ignore"):
             xw = xs ** (N - 1.0)
             dw = ones if half_line else room ** (N - 1.0)
-        if not math.isfinite(xw[-1]):
-            raise DomainError(
-                f"the ratio check's x^(N-1) leaves the float range at N={N}, sample x={xs[-1]}"
-            )
-        if not math.isfinite(dw[0]):
-            raise DomainError(
-                f"the ratio check's (D - x)^(N-1) leaves the float range at N={N}, "
-                f"sample x={xs[0]}, D={D}"
-            )
+        for i in x_ends:
+            if not _NORMAL_MIN <= xw[i] < math.inf:
+                raise DomainError(
+                    f"the ratio check's x^(N-1) leaves the float range at N={N}, sample x={xs[i]}"
+                )
+        for i in room_ends:
+            if not _NORMAL_MIN <= dw[i] < math.inf:
+                raise DomainError(
+                    f"the ratio check's (D - x)^(N-1) leaves the float range at N={N}, "
+                    f"sample x={xs[i]}, D={D}"
+                )
         # A sample at x = 0 never violates the upper bound, one at x = D never
         # the lower bound: both sides of their cross-multiplied form vanish.
         up_ok = xw > 0.0
@@ -624,6 +634,23 @@ def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) ->
     return verdict
 
 
+def _bisection_path(
+    n_lo: float, n_hi: float, passes: Callable[[float], bool]
+) -> list[tuple[float, float]]:
+    """The cell of each level of the bisection from [n_lo, n_hi] whose
+    midpoints passes decides, down to a width of _BISECT_WIDTH."""
+    lo, hi = float(n_lo), float(n_hi)
+    path = [(lo, hi)]
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+        path.append((lo, hi))
+    return path
+
+
 def minimal_mcp_dimension(
     h: Density,
     D: float,
@@ -640,17 +667,24 @@ def minimal_mcp_dimension(
 
     h is sampled and each sample set prepared once; each check costs one
     O(n) scan.  The steepest secant of the samples (_secant_guess) lands
-    within ~1e-12 of the answer, so the two checks at guess * (1 -+ 1e-11)
-    bracket it first, and the two at guess * (1 -+ 1e-8) only when those
-    miss; a bracket end is checked only strictly inside (n_lo, n_hi).  Then
-    n_hi is checked only if no bracket check passed, and n_lo only if none
-    failed.  The bisection takes the same midpoints from [n_lo, n_hi] and
-    stops at the same width, but a midpoint at or above a passed N passes
-    and one at or below a failed N fails without a scan; only those between
-    are checked.  The guess is never a decision, only a place to check: by
-    upward closure each skipped scan would have given the answer assumed, so
-    the result is that of the plain bisection whatever the guess, and a
-    wrong guess costs a few scans.
+    within a few bisection cells of the answer.  The bisection from
+    [n_lo, n_hi] is first replayed with the guess deciding each midpoint
+    (a midpoint at or above it passes), which costs no scan, and the ends
+    of the replayed cell 3 levels above the last (8 final cells wide) are
+    checked; when its lower end passes or its upper end fails, those of
+    the cells 7, 15 and 31 levels up, and then n_hi and n_lo.  An end is
+    checked only while it lies strictly between the largest N known to fail
+    and the smallest known to pass.  The bisection then takes the same
+    midpoints, but a midpoint at or above a passed N passes and one at or
+    below a failed N fails without a scan; only those between are checked.
+
+    When the guess is right, every N checked is one the plain bisection
+    checks too, so the result is the plain bisection's wherever upward
+    closure holds between N at least 8 final cells apart.  The sampled pass
+    set need not be upward closed within a cell or two (rounding of the
+    scan at _RATIO_RTOL); checking only cell ends of the bisection's own
+    path keeps such a gap from deciding the result.  A wrong guess costs a
+    few more scans.
     """
     D = _validate_domain(D)
     if not n_lo > 1.0:
@@ -658,13 +692,14 @@ def minimal_mcp_dimension(
     if not n_lo < n_hi < math.inf:
         raise DomainError(f"need n_lo < n_hi < inf, got [{n_lo}, {n_hi}]")
     check, samples = _ratio_check(h, D, grid_points)
-    lo, hi = float(n_lo), float(n_hi)
-    # The largest N known to fail and the smallest known to pass, once the
-    # ends are checked; the brackets are checked inside (lo, hi) first.
-    failed, passed = lo, hi
     guess = _secant_guess(samples, D)
-    for width in _GUESS_BRACKETS:
-        below, above = guess * (1.0 - width), guess * (1.0 + width)
+    path = _bisection_path(n_lo, n_hi, lambda n: n >= guess)
+    lo, hi = path[0]
+    # The largest N known to fail and the smallest known to pass, once the
+    # ends are checked; cells of the path are checked inside (lo, hi) first.
+    failed, passed = lo, hi
+    for up in _GUESS_LEVELS:
+        below, above = path[max(len(path) - 1 - up, 0)]
         for n in (below, above):
             if failed < n < passed:
                 if check(n).passed:
@@ -673,15 +708,10 @@ def minimal_mcp_dimension(
                     failed = n
         if below <= failed and passed <= above:
             break
-    # A passed bracket implies that n_hi passes, a failed one that n_lo fails.
+    # A passed cell end implies that n_hi passes, a failed one that n_lo fails.
     if passed == hi and not check(hi).passed:
         return None
     if failed == lo and check(lo).passed:
         return lo
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid >= passed or (mid > failed and check(mid).passed):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    path = _bisection_path(lo, hi, lambda n: n >= passed or (n > failed and check(n).passed))
+    return path[-1][1]

@@ -277,6 +277,11 @@ HUGE_TABLE_SPACE = {"D": 3, "density": {"type": "tabulated", "grid": [0, 1, 2, 3
 PIECEWISE_SPACE = {"D": 3.0, "density": {
     "type": "piecewise_monomial", "breakpoints": [1.5],
     "pieces": [{"c": 1.0, "p": 1.5}, {"c": 1.5 ** 0.9, "p": 0.6}]}}
+# The same shape on [0, 0.9]: at N = 1000, x^(N-1) underflows at the first
+# positive sample and (D - x)^(N-1) at the last below D.
+SHORT_PIECEWISE_SPACE = {"D": 0.9, "density": {
+    "type": "piecewise_monomial", "breakpoints": [0.45],
+    "pieces": [{"c": 1, "p": 1.5}, {"c": 0.48740643917899545, "p": 0.6}]}}
 
 
 def search_files(**config):
@@ -360,6 +365,7 @@ def run_with_files(capsys, tmp_path, argv, files):
                        "--config": {"N": 2, "volumes": [1.0], "max_components": 1}}),
         (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {}),
         (("validate-density", "--N", "1000"), {"--space": PIECEWISE_SPACE}),
+        (("validate-density", "--N", "1000"), {"--space": SHORT_PIECEWISE_SPACE}),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -379,7 +385,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         "search-window-overflow", "search-window-radius-overflow",
         "search-slack-overflow-positive-margin",
         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
-        "ratio-power-overflow",
+        "ratio-power-overflow", "ratio-power-underflow",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -438,6 +444,8 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "leaves the float range at N=2.0, D=1e-320"),
         (("validate-density", "--N", "1000"), {"--space": PIECEWISE_SPACE},
          "x^(N-1) leaves the float range at N=1000.0, sample x=3.0"),
+        (("validate-density", "--N", "1000"), {"--space": SHORT_PIECEWISE_SPACE},
+         "x^(N-1) leaves the float range at N=1000.0, sample x=0.0017612524461839531"),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
          "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
@@ -447,7 +455,7 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "search-slack-overflow", "search-cone-slack-overflow", "search-window-overflow",
          "search-window-radius-overflow", "search-slack-overflow-positive-margin",
          "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
-         "ratio-power-overflow"],
+         "ratio-power-overflow", "ratio-power-underflow"],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
     # A non-finite endpoint or volume, or a point count below 1, is reported

@@ -439,6 +439,20 @@ def test_bad_check_arguments_raise(call):
         call()
 
 
+def test_ratio_powers_outside_the_normal_range_name_the_sample():
+    # Each side's least power with a positive base, zero or subnormal, would
+    # make h / power overflow: x^(N-1) at the first sample with x > 0 and
+    # (D - x)^(N-1) at the last with x < D (3 - 2.999 = 1e-3, so ~1e-597).
+    with pytest.raises(DomainError, match=r"x\^\(N-1\) leaves the float range at N=1000\.0, "
+                                          r"sample x=0\.0017612524461839531$"):
+        check_mcp_density(PiecewiseMonomialDensity((0.45,), ((1.0, 1.5), (0.45 ** 0.9, 0.6))),
+                          0.9, 1000.0)
+    table = TabulatedDensity((1.0, 2.0, 2.999), (1.0, 1.0, 1.0))
+    with pytest.raises(DomainError, match=r"\(D - x\)\^\(N-1\) leaves the float range at "
+                                          r"N=200\.0, sample x=2\.999, D=3\.0$"):
+        check_mcp_density(table, 3.0, 200.0)
+
+
 # ------------------------------------------------------------------ verdicts
 
 

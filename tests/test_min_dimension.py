@@ -16,6 +16,7 @@ from mcp_iso import (
 from mcp_iso import density
 from mcp_iso.density import (
     _BISECT_WIDTH,
+    _GUESS_LEVELS,
     _RATIO_RTOL,
     _ratio_check,
     _sampled_witness,
@@ -24,13 +25,14 @@ from mcp_iso.density import (
 )
 
 INF = math.inf
-# The two checks at guess * (1 -+ 1e-11), the ~7 midpoints the bisection
-# scans inside that bracket and a few steps of slack (n_lo and n_hi are
-# checked only when the bracket leaves them open); a bisection from
-# [1.01, 30] down to 1e-12 takes ~47 checks.
-MAX_CHECKS = 12
-# The same when the first bracket misses and the guess * (1 -+ 1e-8) rung
-# holds the answer: ~16 midpoints inside it.
+# The two ends of the cell 3 levels above the last of the bisection path
+# replayed from the guess (8 final cells wide), the 3 midpoints the
+# bisection scans inside it and a few checks of slack for a guess near that
+# cell's edge (n_lo and n_hi are checked only when the cells leave them
+# open); a bisection from [1.01, 30] down to 1e-12 takes ~47 checks.
+MAX_CHECKS = 8
+# The same when the guess is thousands of cells off and the cell 15 levels
+# up holds the answer: ~15 midpoints inside it.
 MAX_CHECKS_ON_A_MISS = 24
 
 
@@ -169,8 +171,8 @@ def test_guess_saves_scans_on_the_benchmark_shapes(name, checked):
 
 @pytest.mark.parametrize("name", list(_workload_shapes()))
 def test_true_guess_checks_neither_end(name, checked):
-    # The bracket around the guess holds a failed and a passed N, which
-    # decide n_lo and n_hi by upward closure.
+    # The replayed cell around the guess holds a failed and a passed N,
+    # which decide n_lo and n_hi by upward closure.
     h, D, grid_points = _workload_shapes()[name]
     minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
     assert checked and 1.01 not in checked and 30.0 not in checked
@@ -188,8 +190,9 @@ def test_dust_gaps_do_not_steer_the_guess():
 
 @pytest.mark.parametrize("name", list(_workload_shapes()))
 def test_a_missed_first_bracket_keeps_the_result(name, checked, monkeypatch):
-    # Off by -+1e-9 the guess leaves the 1e-11 bracket and the 1e-8 rung
-    # holds the answer; at n_hi both rungs miss and the bisection scans on.
+    # Off by -+1e-9 (~3000 cells) the guess leaves the cells 3 and 7 levels
+    # up and the one 15 levels up holds the answer; at n_hi every cell
+    # misses and the bisection scans on.
     h, D, grid_points = _workload_shapes()[name]
     expected = reference_minimal_dimension(h, D, 1.01, 30.0, grid_points)
     guess = _secant_guess(_ratio_check(h, D, grid_points)[1], D)
@@ -204,15 +207,70 @@ def test_a_missed_first_bracket_keeps_the_result(name, checked, monkeypatch):
         assert len(checked) <= budget
 
 
+def _replayed_cell_ends(guess, n_lo, n_hi):
+    """n_lo, n_hi and the ends of the cells _GUESS_LEVELS above the last of
+    the bisection from [n_lo, n_hi] whose midpoints the guess decides."""
+    lo, hi = n_lo, n_hi
+    path = [(lo, hi)]
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid >= guess else (mid, hi)
+        path.append((lo, hi))
+    return {n_lo, n_hi}.union(*(path[max(len(path) - 1 - up, 0)] for up in _GUESS_LEVELS))
+
+
+@pytest.mark.parametrize("name", list(_workload_shapes()))
+def test_checks_before_the_bisection_are_replayed_cell_ends(name, checked, monkeypatch):
+    # Each N checked is a cell end of the path replayed from the guess, or
+    # n_lo or n_hi, until the bisection scans inside the bracket they leave;
+    # off by -+1e-9 and outside [n_lo, n_hi] the guess takes the wider cells.
+    h, D, grid_points = _workload_shapes()[name]
+    check, samples = _ratio_check(h, D, grid_points)
+    guess = _secant_guess(samples, D)
+    for wrong in (guess, guess * (1.0 - 1e-9), guess * (1.0 + 1e-9), 1.0, 30.0, 40.0):
+        monkeypatch.setattr(density, "_secant_guess", lambda samples, D: wrong)
+        ends = _replayed_cell_ends(wrong, 1.01, 30.0)
+        checked.clear()
+        minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
+        first = next((k for k, n in enumerate(checked) if n not in ends), len(checked))
+        outcomes = [(n, check(n).passed) for n in checked[:first]]
+        failed = max([n for n, ok in outcomes if not ok], default=1.01)
+        passed = min([n for n, ok in outcomes if ok], default=30.0)
+        assert all(failed < n < passed for n in checked[first:]), (name, wrong)
+
+
+def test_a_sampled_pass_set_gap_one_cell_wide_keeps_the_result(monkeypatch):
+    # The sampled pass set of this density (the seed-8 pw-bounded-tail of
+    # density-check) is not upward closed within one bisection cell: the
+    # answer r passes, r + cell fails and r + 2 cells passes.  A check off
+    # the bisection's own path, such as the end of a bracket relative to the
+    # guess, can land in that gap; only cell ends of the path are checked,
+    # so any guess within 80 cells gives r.
+    h = PiecewiseMonomialDensity(
+        (1.4975532367290025,),
+        ((1.0, 0.9906406431523179), (2.2552637138486737, -1.0232307253867656)),
+    )
+    D = 2.9720210513880687
+    check = _ratio_check(h, D, 384)[0]
+    lo, hi = 1.01, 30.0
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if check(mid).passed else (mid, hi)
+    r, cell = hi, hi - lo
+    assert repr(r) == "2.00739136855181"
+    assert [check(r + k * cell).passed for k in (0, 1, 2)] == [True, False, True]
+    for k in range(-80, 81):
+        monkeypatch.setattr(density, "_secant_guess", lambda samples, D: r + k * cell)
+        assert repr(minimal_mcp_dimension(h, D, 1.01, 30.0, 384)) == repr(r), k
+
+
 def test_guess_keeps_the_mean_scan_count_low(checked):
-    # ~7.8 checks per call here (~9.2 when both ends were always checked);
-    # the +-1e-8 bracket alone, around a guess that ignores _RATIO_RTOL,
-    # took ~16.4.
+    # ~5.1 checks per call here; the plain bisection takes ~47.
     cases = list(_corpus(np.random.default_rng(20261018)))
     checked.clear()
     for h, D, grid_points in cases:
         minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
-    assert len(checked) / len(cases) <= 8.5
+    assert len(checked) / len(cases) <= 5.5
 
 
 def test_prepared_scans_match_fresh_ones_in_any_order_of_n():
