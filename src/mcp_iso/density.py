@@ -57,9 +57,10 @@ _RATIO_RTOL = 1e-12
 _BISECT_WIDTH = 1e-12
 # How many levels above its last minimal_mcp_dimension takes the cells of
 # the bisection path replayed from its secant guess whose ends it checks,
-# narrowest first: 8 final cells wide, then 128, 32768 and 2^31.  The guess
-# allows for _RATIO_RTOL and lands within ~2 cells of the answer.
-_GUESS_LEVELS = (3, 7, 15, 31)
+# narrowest first: 8 final cells wide, then 128 and 2^17 (~1.1e-7 on
+# [1.01, 30], a guess off by ~1e-8 relative).  The guess allows for
+# _RATIO_RTOL and lands within ~2 cells of the answer.
+_GUESS_LEVELS = (3, 7, 17)
 # A gap in log x (or log(D - x)) that _secant_guess takes for rounding dust,
 # as left where np.unique merges a breakpoint into the sample grid.
 _DUST_GAP = 1e-9
@@ -638,11 +639,14 @@ def _bisection_path(
     n_lo: float, n_hi: float, passes: Callable[[float], bool]
 ) -> list[tuple[float, float]]:
     """The cell of each level of the bisection from [n_lo, n_hi] whose
-    midpoints passes decides, down to a width of _BISECT_WIDTH."""
+    midpoints passes decides, down to a width of _BISECT_WIDTH or to
+    neighbouring floats (above N = 8192 they lie further apart)."""
     lo, hi = float(n_lo), float(n_hi)
     path = [(lo, hi)]
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if passes(mid):
             hi = mid
         else:
@@ -672,11 +676,12 @@ def minimal_mcp_dimension(
     (a midpoint at or above it passes), which costs no scan, and the ends
     of the replayed cell 3 levels above the last (8 final cells wide) are
     checked; when its lower end passes or its upper end fails, those of
-    the cells 7, 15 and 31 levels up, and then n_hi and n_lo.  An end is
+    the cells 7 and 17 levels up, and then n_hi and n_lo.  An end is
     checked only while it lies strictly between the largest N known to fail
     and the smallest known to pass.  The bisection then takes the same
     midpoints, but a midpoint at or above a passed N passes and one at or
     below a failed N fails without a scan; only those between are checked.
+    Both stop at a width of _BISECT_WIDTH or at neighbouring floats.
 
     When the guess is right, every N checked is one the plain bisection
     checks too, so the result is the plain bisection's wherever upward

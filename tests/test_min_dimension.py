@@ -8,6 +8,7 @@ import pytest
 
 from mcp_iso import (
     ConstantDensity,
+    DomainError,
     MonomialDensity,
     PiecewiseMonomialDensity,
     SharpDensity,
@@ -17,6 +18,7 @@ from mcp_iso import density
 from mcp_iso.density import (
     _BISECT_WIDTH,
     _GUESS_LEVELS,
+    _bisection_path,
     _RATIO_RTOL,
     _ratio_check,
     _sampled_witness,
@@ -31,8 +33,9 @@ INF = math.inf
 # cell's edge (n_lo and n_hi are checked only when the cells leave them
 # open); a bisection from [1.01, 30] down to 1e-12 takes ~47 checks.
 MAX_CHECKS = 8
-# The same when the guess is thousands of cells off and the cell 15 levels
-# up holds the answer: ~15 midpoints inside it.
+# The same when the guess is thousands of cells off and the cell 17 levels
+# up holds the answer: ~17 midpoints inside it, fewer where the missed
+# cells left known ends inside it.
 MAX_CHECKS_ON_A_MISS = 24
 
 
@@ -114,6 +117,24 @@ def test_none_and_lower_end_results():
     assert minimal_mcp_dimension(h, 3.0, 3.5, 10.0, 256) == 3.5
 
 
+
+def test_bisection_path_stops_at_neighbouring_floats():
+    # Above N = 8192 neighbouring floats lie more than _BISECT_WIDTH apart,
+    # so the path ends where the midpoint no longer moves.
+    path = _bisection_path(1e4, 2e4, lambda n: n >= 15000.3)
+    lo, hi = path[-1]
+    assert hi - lo > _BISECT_WIDTH and math.nextafter(lo, INF) == hi
+    assert lo < 15000.3 <= hi
+
+
+def test_a_guess_above_8192_names_the_range_error():
+    # The secant between the nodes 1 and 1.001 puts the guess at ~69114,
+    # where x^(N-1) leaves the float range at x = 3: the replay from the
+    # guess ends at neighbouring floats and the first check raises.
+    h = TabulatedDensity((0.0, 1.0, 1.001, 3.0), (1.0, 1.0, 1e30, 1e30))
+    with pytest.raises(DomainError, match=r"x\^\(N-1\) leaves the float range at N=6911"):
+        minimal_mcp_dimension(h, 3.0, 1.01, 1e5)
+
 def _exp_table(end, lam):
     grid = np.linspace(0.1, end, 160)
     return TabulatedDensity(tuple(grid), tuple(np.exp(lam * grid)))
@@ -190,8 +211,8 @@ def test_dust_gaps_do_not_steer_the_guess():
 
 @pytest.mark.parametrize("name", list(_workload_shapes()))
 def test_a_missed_first_bracket_keeps_the_result(name, checked, monkeypatch):
-    # Off by -+1e-9 (~3000 cells) the guess leaves the cells 3 and 7 levels
-    # up and the one 15 levels up holds the answer; at n_hi every cell
+    # Off by -+1e-9 (~6000 cells) the guess leaves the cells 3 and 7 levels
+    # up and the one 17 levels up holds the answer; at n_hi every cell
     # misses and the bisection scans on.
     h, D, grid_points = _workload_shapes()[name]
     expected = reference_minimal_dimension(h, D, 1.01, 30.0, grid_points)
