@@ -22,6 +22,7 @@ from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
 from .errors import DomainError, InfeasibleSearchError
+from .numerics import require_number
 from .profile import (
     avr_lower_bound,
     cd_lower_bound,
@@ -76,6 +77,12 @@ def _sweep(a: float, b: float, n: int, log: bool) -> list[float]:
         inner = [a + (b - a) * k / (n - 1) for k in range(1, n - 1)]
     # The endpoints are a and b exactly; exp(log a) and a + (b - a) can miss by an ulp.
     return [a, *inner, b]
+
+
+def _refuse_unknown(data, known: set[str], what: str) -> None:
+    """Refuse a field of data outside known; require_field refuses a non-object."""
+    if unknown := isinstance(data, dict) and sorted(set(data) - known):
+        raise DomainError(f"unknown {what} field {unknown[0]!r}")
 
 
 def _load_json(path: str) -> dict:
@@ -216,18 +223,17 @@ def _cmd_sharp(args):
 def _cmd_search(args):
     space = space_from_dict(_load_json(args.space))
     config = _load_json(args.config)
-    if unknown := sorted(set(config) - _SEARCH_FIELDS):
-        raise DomainError(f"unknown search config field {unknown[0]!r}")
-    try:
-        N = float(config["N"])
-    except KeyError:
-        raise DomainError("search config needs a field 'N'")
+    _refuse_unknown(config, _SEARCH_FIELDS, "search config")
+    N = require_number(config, "N", "search config")
     # Without a known tail, avr is uncertified only for tabulated densities,
     # which a half-line space refuses; bounded spaces have avr = 0, certified.
     avr_value = float(config["avr"]) if "avr" in config else avr(space, N).value
     raw_volumes = config.get("volumes")
     if isinstance(raw_volumes, dict) and "sweep" in raw_volumes:
-        volumes = _parse_sweep(raw_volumes["sweep"], bool(raw_volumes.get("log", False)))
+        _refuse_unknown(raw_volumes, {"sweep", "log"}, "volumes sweep")
+        if not isinstance(log := raw_volumes.get("log", False), bool):
+            raise DomainError(f"the volumes sweep field 'log' must be true or false, got {log!r}")
+        volumes = _parse_sweep(raw_volumes["sweep"], log)
     elif isinstance(raw_volumes, list):
         volumes = [float(v) for v in raw_volumes]
     else:

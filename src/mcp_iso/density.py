@@ -21,7 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .numerics import float_or_array, require_count, require_dimension, require_positive
+from .numerics import (float_or_array, require_count, require_dimension, require_extent,
+                       require_field, require_number, require_positive)
 from .profile import avr_lower_bound, cone_radius, log_cone_coefficient
 
 __all__ = [
@@ -99,9 +100,10 @@ class Density:
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior junction points (sampling grids must include these)."""
-        return ()
+        return self._breaks
 
-    # Domain actually covered by the definition of h.
+    # Junction points and the domain h covers; a family that differs sets its own.
+    _breaks: tuple[float, ...] = ()
     support_start: float = 0.0
     support_end: float = math.inf
 
@@ -118,8 +120,6 @@ class _PowerPieces(Density):
     b_k, with b_{-1} = 0 and the last piece running to infinity, so x at a
     breakpoint takes the left piece.  A flat piece (p = 0) is the constant c.
     """
-
-    _breaks: tuple[float, ...] = ()
 
     def _eval(self, xs):
         *left, (c, p) = self._pieces
@@ -162,9 +162,6 @@ class _PowerPieces(Density):
 
     def tail(self):
         return self._pieces[-1]
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self._breaks
 
 
 @dataclass(frozen=True)
@@ -316,17 +313,12 @@ class TabulatedDensity(Density):
             raise DomainError("tabulated values must be non-negative and finite")
         if any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:])):
             raise DomainError("tabulated density vanishes on a whole segment")
-        # Array copies for np.interp, kept out of the dataclass fields.
+        # Array copies for np.interp and the table's span, kept out of the dataclass fields.
         object.__setattr__(self, "_grid", np.asarray(g))
         object.__setattr__(self, "_values", np.asarray(v))
-
-    @property
-    def support_start(self) -> float:  # type: ignore[override]
-        return self.grid[0]
-
-    @property
-    def support_end(self) -> float:  # type: ignore[override]
-        return self.grid[-1]
+        object.__setattr__(self, "_breaks", g[1:-1])
+        object.__setattr__(self, "support_start", g[0])
+        object.__setattr__(self, "support_end", g[-1])
 
     def _eval(self, xs):
         outside = ~((xs >= self.grid[0]) & (xs <= self.grid[-1]))  # NaN included
@@ -354,9 +346,6 @@ class TabulatedDensity(Density):
     def tail(self):
         return None
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.grid[1:-1]
-
 
 _FAMILIES = (
     ConstantDensity, MonomialDensity, PiecewiseMonomialDensity, SharpDensity, TabulatedDensity,
@@ -365,24 +354,21 @@ _FAMILIES = (
 
 def density_from_dict(data: dict) -> Density:
     """Build a density from its JSON dictionary form."""
-    try:
-        kind = data["type"]
-    except (KeyError, TypeError):
-        raise DomainError("density descriptor must be an object with a 'type' field")
+    kind = require_field(data, "type", "density descriptor")
     family = next((cls for cls in _FAMILIES if cls.kind == kind), None)
     if family is None:
         raise DomainError(f"unknown density type '{kind}'")
-    try:
-        if family is PiecewiseMonomialDensity:
-            return PiecewiseMonomialDensity(
-                tuple(float(b) for b in data["breakpoints"]),
-                tuple((float(p["c"]), float(p["p"])) for p in data["pieces"]),
-            )
-        # The inverse of Density.to_dict: arrays become tuples, other values floats.
-        values = (data[f.name] for f in fields(family))
-        return family(*(tuple(v) if isinstance(v, list) else float(v) for v in values))
-    except KeyError as exc:
-        raise DomainError(f"density descriptor of type '{kind}' is missing field {exc}")
+    what = f"density descriptor of type '{kind}'"
+    if family is PiecewiseMonomialDensity:
+        piece = f"a piece of the {what}"
+        return PiecewiseMonomialDensity(
+            tuple(float(b) for b in require_field(data, "breakpoints", what)),
+            tuple((require_number(p, "c", piece), require_number(p, "p", piece))
+                  for p in require_field(data, "pieces", what)),
+        )
+    # The inverse of Density.to_dict: a table's two fields are arrays, all others numbers.
+    read = require_field if family is TabulatedDensity else require_number
+    return family(*(read(data, f.name, what) for f in fields(family)))
 
 
 @dataclass(frozen=True)
@@ -419,13 +405,6 @@ class Verdict:
     @property
     def passed(self) -> bool:
         return self.status != FAIL
-
-
-def _validate_domain(D: float) -> float:
-    D = float(D)
-    if not D > 0.0:
-        raise DomainError(f"domain right endpoint must be positive, got {D}")
-    return D
 
 
 def _sample_grid(h: Density, D: float, grid_points: int, half_line_end: float) -> np.ndarray:
@@ -624,7 +603,7 @@ def check_mcp_density(h: Density, D: float, N: float, grid_points: int = 512) ->
     grid disproves the bounds) but never pass: with no defined tail the
     positive case raises a DomainError.
     """
-    D = _validate_domain(D)
+    D = require_extent("domain right endpoint", D)
     N = require_dimension(N)
     verdict = _ratio_check(h, D, grid_points)[0](N)
     if verdict.status == PASS_SAMPLED and math.isinf(D) and h.tail() is None:
@@ -691,7 +670,7 @@ def minimal_mcp_dimension(
     path keeps such a gap from deciding the result.  A wrong guess costs a
     few more scans.
     """
-    D = _validate_domain(D)
+    D = require_extent("domain right endpoint", D)
     if not n_lo > 1.0:
         raise DomainError(f"n_lo must exceed 1, got {n_lo}")
     if not n_lo < n_hi < math.inf:

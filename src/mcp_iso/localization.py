@@ -21,7 +21,8 @@ import numpy as np
 
 from .density import Density, check_mcp_density, density_from_dict
 from .errors import DomainError, PreconditionError
-from .numerics import require_dimension, require_positive
+from .numerics import (require_dimension, require_extent, require_field, require_number,
+                       require_positive)
 from .profile import avr_lower_bound, profile_mcp
 from .space import IntervalUnion, WeightedInterval, avr, minkowski_content
 
@@ -48,8 +49,7 @@ class RadialModel:
     def __post_init__(self):
         require_positive("total_angle", self.total_angle)
         require_dimension(self.N)
-        if not self.ray_length > 0.0:
-            raise DomainError(f"ray_length must be positive, got {self.ray_length}")
+        require_extent("ray_length", self.ray_length)
         verdict = check_mcp_density(self.radial_weight, self.ray_length, self.N)
         if not verdict.passed:
             raise DomainError(
@@ -74,15 +74,11 @@ class RadialModel:
 
 
 def model_from_dict(data: dict) -> RadialModel:
-    try:
-        theta = float(data["theta"])
-        weight = density_from_dict(data["weight"])
-        N = float(data["N"])
-        raw_len = data["ray_length"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"model descriptor is missing field {exc}")
-    ray_length = math.inf if raw_len == "inf" else float(raw_len)
-    return RadialModel(theta, weight, N, ray_length)
+    what = "model descriptor"
+    theta = require_number(data, "theta", what)
+    weight = density_from_dict(require_field(data, "weight", what))
+    N = require_number(data, "N", what)
+    return RadialModel(theta, weight, N, require_number(data, "ray_length", what))
 
 
 def disintegrate_ball(

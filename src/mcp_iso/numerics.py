@@ -1,5 +1,5 @@
-"""Shared numerical kernels: parameter checks, the float-or-array result
-convention, the unit-ball volume and monotone inversion.
+"""Shared numerical kernels: parameter and descriptor-field checks, the
+float-or-array result convention, the unit-ball volume and monotone inversion.
 
 Everything here is pure and deterministic; no global mutable state.
 """
@@ -44,6 +44,31 @@ def require_positive(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {float(value)}")
     return float(value)
+
+
+def require_extent(name: str, value: float) -> float:
+    """Validate a positive length, math.inf allowed; return it as a float."""
+    if not value > 0.0:
+        raise DomainError(f"{name} must be positive, got {float(value)}")
+    return float(value)
+
+
+def require_field(data, name: str, what: str):
+    """data[name] for a JSON object data; errors name data as what."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    if name not in data:
+        raise DomainError(f"{what} is missing field '{name}'")
+    return data[name]
+
+
+def require_number(data, name: str, what: str) -> float:
+    """require_field as a float: a JSON number, or a string float() reads, such as "inf"."""
+    value = require_field(data, name, what)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} field '{name}' must be a number, got {value!r}") from None
 
 
 def float_or_array(x):

@@ -18,7 +18,8 @@ from .density import (
     density_from_dict,
 )
 from .errors import DomainError, PreconditionError
-from .numerics import log_unit_ball_volume, require_dimension
+from .numerics import (log_unit_ball_volume, require_dimension, require_extent, require_field,
+                       require_number)
 from .profile import log_cone_coefficient
 
 __all__ = [
@@ -52,8 +53,7 @@ class WeightedInterval:
     h: Density
 
     def __post_init__(self):
-        if not self.D > 0.0:
-            raise DomainError(f"diameter must be positive, got {self.D}")
+        require_extent("diameter", self.D)
         if self.h.support_start > 0.0:
             raise DomainError(
                 f"space density must be defined from 0, but starts at {self.h.support_start}"
@@ -114,21 +114,13 @@ class AvrResult(NamedTuple):
 
 
 def space_from_dict(data: dict) -> WeightedInterval:
-    try:
-        raw_d = data["D"]
-        density_dict = data["density"]
-    except (KeyError, TypeError):
-        raise DomainError("space descriptor needs fields 'D' and 'density'")
-    D = math.inf if raw_d == "inf" else float(raw_d)
-    return WeightedInterval(D, density_from_dict(density_dict))
+    what = "space descriptor"
+    D = require_number(data, "D", what)
+    return WeightedInterval(D, density_from_dict(require_field(data, "density", what)))
 
 
 def interval_union_from_dict(data: dict) -> IntervalUnion:
-    try:
-        intervals = data["intervals"]
-    except (KeyError, TypeError):
-        raise DomainError("set descriptor needs a field 'intervals'")
-    return IntervalUnion.of(intervals)
+    return IntervalUnion.of(require_field(data, "intervals", "set descriptor"))
 
 
 def _require_subset(space: WeightedInterval, subset: IntervalUnion) -> None:

@@ -289,6 +289,32 @@ def search_files(**config):
     return {"--space": SHARP_SPACE, "--config": {"N": 2.0, "volumes": [0.5], **config}}
 
 
+def sweep_files(**sweep):
+    """A search on the sharp space over the volumes sweep 0.5:2:3 with these keys."""
+    return {"--space": SHARP_SPACE,
+            "--config": {"N": 2, "volumes": {"sweep": "0.5:2:3", **sweep}, "grid_points": 64}}
+
+
+# Malformed descriptors, each with the descriptor and field its one error line names.
+MALFORMED_DESCRIPTORS = {
+    "localize-theta-null": (("localize", "--r", "1", "--R", "4"),
+                            {"--model": {**PLANE_MODEL, "theta": None}},
+                            "model descriptor field 'theta' must be a number"),
+    "search-config-list": (("search",), {"--space": SHARP_SPACE, "--config": [1, 2]},
+                           "search config must be a JSON object"),
+    "piece-list": (("validate-density", "--N", "3"),
+                   {"--space": {"D": 3.0, "density": {**PIECEWISE_SPACE["density"],
+                                                      "pieces": [[1, 2], {"c": 1, "p": 1}]}}},
+                   "a piece of the density descriptor of type 'piecewise_monomial' "
+                   "must be a JSON object"),
+    "space-density-list": (("avr", "--N", "2"), {"--space": {"D": 1.0, "density": [1]}},
+                           "density descriptor must be a JSON object"),
+    "sweep-log-string": (("search",), sweep_files(log="false"),
+                         "the volumes sweep field 'log' must be true or false, got 'false'"),
+    "sweep-unknown-key": (("search",), sweep_files(lgo=True), "unknown volumes sweep field 'lgo'"),
+}
+
+
 def run_with_files(capsys, tmp_path, argv, files):
     for flag, payload in files.items():
         # A payload of None names a file that does not exist.
@@ -366,6 +392,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {}),
         (("validate-density", "--N", "1000"), {"--space": PIECEWISE_SPACE}),
         (("validate-density", "--N", "1000"), {"--space": SHORT_PIECEWISE_SPACE}),
+        *((argv, files) for argv, files, _ in MALFORMED_DESCRIPTORS.values()),
     ],
     ids=[
         "sweep-count", "space-D", "density-string", "density-null",
@@ -386,6 +413,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         "search-slack-overflow-positive-margin",
         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
         "ratio-power-overflow", "ratio-power-underflow",
+        *MALFORMED_DESCRIPTORS,
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
@@ -446,6 +474,7 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "x^(N-1) leaves the float range at N=1000.0, sample x=3.0"),
         (("validate-density", "--N", "1000"), {"--space": SHORT_PIECEWISE_SPACE},
          "x^(N-1) leaves the float range at N=1000.0, sample x=0.0017612524461839531"),
+        *MALFORMED_DESCRIPTORS.values(),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
          "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
@@ -455,13 +484,15 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "search-slack-overflow", "search-cone-slack-overflow", "search-window-overflow",
          "search-window-radius-overflow", "search-slack-overflow-positive-margin",
          "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
-         "ratio-power-overflow", "ratio-power-underflow"],
+         "ratio-power-overflow", "ratio-power-underflow",
+         *MALFORMED_DESCRIPTORS],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
     # A non-finite endpoint or volume, or a point count below 1, is reported
     # as given, not as the NaN, window or sweep that computing with it would
     # produce; a result that leaves the float range names the inputs that
-    # put it there, on one line.
+    # put it there, on one line.  So does a malformed descriptor: the
+    # descriptor and the field at fault.
     code, _, err = run_with_files(capsys, tmp_path, argv, files)
     assert code == 1
     assert named in err
@@ -485,6 +516,13 @@ def test_search_at_volume_zero_on_the_half_line(capsys, tmp_path):
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[1].startswith("0,0,0,0,[],")
+
+
+@pytest.mark.parametrize("log, volumes", [(False, ["0.5", "1.25", "2"]), (True, ["0.5", "1", "2"])])
+def test_a_volumes_sweep_is_log_spaced_only_when_log_is_true(capsys, tmp_path, log, volumes):
+    code, out, err = run_with_files(capsys, tmp_path, ("search",), sweep_files(log=log))
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == volumes
 
 
 def test_unknown_search_field_is_named(capsys, tmp_path):

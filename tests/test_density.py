@@ -258,6 +258,12 @@ def test_density_from_dict_diagnostics():
         density_from_dict([1, 2, 3])
 
 
+def test_a_piece_without_an_exponent_is_named():
+    with pytest.raises(DomainError, match="a piece of the .* is missing field 'p'"):
+        density_from_dict({"type": "piecewise_monomial", "breakpoints": [1.0],
+                           "pieces": [{"c": 1.0, "p": 0.0}, {"c": 1.0}]})
+
+
 # ----------------------------------------------------------------- the checks
 
 

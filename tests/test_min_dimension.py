@@ -1,5 +1,6 @@
 """minimal_mcp_dimension against a plain bisection over the same ratio check."""
 
+import itertools
 import math
 from typing import Optional
 
@@ -41,7 +42,10 @@ MAX_CHECKS_ON_A_MISS = 24
 
 def reference_minimal_dimension(h, D, n_lo, n_hi, grid_points) -> Optional[float]:
     """Bisection from [n_lo, n_hi] with a scan at every midpoint."""
-    check = _ratio_check(h, D, grid_points)[0]
+    return _plain_bisection(_ratio_check(h, D, grid_points)[0], n_lo, n_hi)
+
+
+def _plain_bisection(check, n_lo, n_hi) -> Optional[float]:
     if not check(n_hi).passed:
         return None
     if check(n_lo).passed:
@@ -105,6 +109,28 @@ def test_matches_plain_bisection_on_a_seeded_corpus():
         assert repr(found) == repr(expected), (h, D)
         kinds.add("none" if found is None else "n_lo" if found == 1.01 else "bisected")
     assert kinds == {"none", "n_lo", "bisected"}
+
+
+def test_matches_plain_bisection_on_ranges_that_end_near_the_answer():
+    # n_lo and n_hi within delta of the answer r on [1.01, 30], on either
+    # side: the checks of the ends that the replayed cells leave open decide
+    # the result, and it must still be the plain bisection's.
+    cases = list(itertools.islice(_corpus(np.random.default_rng(20261020)), 32))
+    cases += _workload_shapes().values()
+    ranges = 0
+    for h, D, grid_points in cases:
+        r = minimal_mcp_dimension(h, D, 1.01, 30.0, grid_points)
+        if r is None or r == 1.01:
+            continue
+        check = _ratio_check(h, D, grid_points)[0]
+        for delta in (1e-12, 1e-9, 1e-6):
+            for n_lo, n_hi in ((r - delta, r + 1.0), (r - 1.0, r + delta),
+                               (r + delta, r + 2.0), (r - 2.0, r - delta)):
+                n_lo = max(n_lo, 0.5 * (1.0 + r))
+                found = minimal_mcp_dimension(h, D, n_lo, n_hi, grid_points)
+                assert repr(found) == repr(_plain_bisection(check, n_lo, n_hi)), (h, D, n_lo, n_hi)
+                ranges += 1
+    assert ranges >= 300
 
 
 def test_none_and_lower_end_results():
