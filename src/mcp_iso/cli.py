@@ -22,7 +22,7 @@ from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import require_number
+from .numerics import require_number, require_numbers
 from .profile import (
     avr_lower_bound,
     cd_lower_bound,
@@ -105,28 +105,62 @@ def _csv_field(value, spec: str, alone: bool) -> str:
     return text
 
 
-def _emit(headers: list[str], rows: list[list], fmt: str, precision: int) -> None:
-    # Each float is formatted once; non-finite ones come out as inf, -inf or nan.
+def _emit(headers: list[str], columns: list, fmt: str, precision: int) -> None:
+    """Write a table given as columns, one per header.
+
+    A column is a list of cells, one per row, or any other value: one cell
+    shown in every row.  All list columns have the table's length; a table
+    with no list column has one row.  Each float is formatted once, even
+    where one list object is passed as two columns, and non-finite floats
+    come out as inf, -inf or nan.
+    """
     spec = f".{precision}g"
+    n_rows = next((len(c) for c in columns if isinstance(c, list)), 1)
     if fmt == "json":
-        cells = [[format(v, spec) if isinstance(v, float) else v for v in row] for row in rows]
-        records = [
-            {k: float(c) if isinstance(v, float) and math.isfinite(v) else c
-             for k, v, c in zip(headers, row, cell_row)}
-            for row, cell_row in zip(rows, cells)
-        ]
+        rendered = {}
+        for c in columns:
+            if id(c) not in rendered:
+                cells = c if isinstance(c, list) else [c]
+                rendered[id(c)] = [_json_cell(v, spec) for v in cells]
+        table = [rendered[id(c)] if isinstance(c, list) else repeat(rendered[id(c)][0], n_rows)
+                 for c in columns]
+        records = [dict(zip(headers, row)) for row in zip(*table)]
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
         return
-    # One printf template for the whole table: %g for a column of floats
-    # only, %s for any other column, whose cells are rendered and quoted first.
+    # One printf template for the whole table: a one-cell column is written
+    # into it, %g stands for a list column of floats only, and %s for any
+    # other list column, whose cells are rendered and quoted first, as are
+    # the cells of a float column passed twice.
     alone = len(headers) == 1
-    floats = [all(map(isinstance, column, repeat(float))) for column in zip(*rows)]
-    if not all(floats):
-        rows = [[v if f else _csv_field(v, spec, alone) for v, f in zip(row, floats)]
-                for row in rows]
-    row_format = ",".join(f"%{spec}" if f else "%s" for f in floats) + "\n"
+    pieces, args, rendered = [], [], {}
+    for c in columns:
+        if not isinstance(c, list):
+            pieces.append(_csv_field(c, spec, alone).replace("%", "%%"))
+            continue
+        if id(c) not in rendered:
+            floats = all(map(isinstance, c, repeat(float)))
+            if floats and sum(d is c for d in columns) == 1:
+                rendered[id(c)] = "%" + spec, c
+            elif floats:
+                text = (f"%{spec}\n" * len(c)) % tuple(c)
+                rendered[id(c)] = "%s", text.split("\n")[:-1]
+            else:
+                rendered[id(c)] = "%s", [_csv_field(v, spec, alone) for v in c]
+        piece, cells = rendered[id(c)]
+        pieces.append(piece)
+        args.append(cells)
+    row_format = ",".join(pieces) + "\n"
     header = ",".join(_csv_field(h, spec, alone) for h in headers) + "\n"
-    sys.stdout.write(header + (row_format * len(rows)) % tuple(chain.from_iterable(rows)))
+    sys.stdout.write(header + (row_format * n_rows) % tuple(chain.from_iterable(zip(*args))))
+
+
+def _json_cell(value, spec: str):
+    """A cell as JSON shows it: a float rounded to the precision, a
+    non-finite one as its text, any other value as it is."""
+    if not isinstance(value, float):
+        return value
+    text = format(value, spec)
+    return float(text) if math.isfinite(value) else text
 
 
 def _set_to_text(best_set) -> str:
@@ -136,8 +170,9 @@ def _set_to_text(best_set) -> str:
 def _cmd_profile(args):
     res = profile_mcp(args.N, args.D, _parse_sweep(args.v, args.log))
     headers = ["N", "D", "v", "a", "f_at_a", "profile"]
-    columns = zip(res.v.tolist(), res.a.tolist(), res.f_at_a.tolist(), res.profile.tolist())
-    return headers, [[res.N, res.D, *col] for col in columns], True
+    # f_at_a and profile are one array, so one list is passed twice.
+    f = res.profile.tolist()
+    return headers, [res.N, res.D, res.v.tolist(), res.a.tolist(), f, f], True
 
 
 def _cmd_expansion(args):
@@ -151,8 +186,7 @@ def _cmd_expansion(args):
     ratio = prof / vs ** ((args.N - 1.0) / args.N)
     deviation = np.abs(ratio - lead) / lead
     headers = ["v", "profile", "ratio", "leading", "rel_deviation"]
-    columns = zip(vs.tolist(), prof.tolist(), ratio.tolist(), deviation.tolist())
-    return headers, [[v, p, r, lead, d] for v, p, r, d in columns], True
+    return headers, [vs.tolist(), prof.tolist(), ratio.tolist(), lead, deviation.tolist()], True
 
 
 def _cmd_validate_density(args):
@@ -162,7 +196,7 @@ def _cmd_validate_density(args):
     w = verdict.witness
     row = [verdict.status, verdict.samples_used]
     row += [w.x0, w.x1, w.side, w.lhs, w.rhs] if w else ["", "", "", "", ""]
-    return headers, [row], verdict.passed
+    return headers, row, verdict.passed
 
 
 def _cmd_min_dimension(args):
@@ -170,7 +204,7 @@ def _cmd_min_dimension(args):
     result = minimal_mcp_dimension(space.h, space.D, args.n_lo, args.n_hi, _DENSITY_GRID)
     headers = ["minimal_dimension"]
     if result is None:
-        return headers, [["none"]], False
+        return headers, ["none"], False
     # _emit rounds to --precision digits.  Rounded down, the value may fail the
     # check that the result passes; then the next value up at that precision
     # is shown instead, which passes, as the passing set is upward closed.
@@ -179,13 +213,13 @@ def _cmd_min_dimension(args):
         shown > 1 and check_mcp_density(space.h, space.D, float(shown), _DENSITY_GRID).passed
     ):
         shown = shown.next_plus(Context(prec=args.precision))
-    return headers, [[float(shown)]], True
+    return headers, [float(shown)], True
 
 
 def _cmd_avr(args):
     space = space_from_dict(_load_json(args.space))
     value, certified = avr(space, args.N)
-    return ["avr", "certified"], [[value, certified]], True
+    return ["avr", "certified"], [value, certified], True
 
 
 def _cmd_bounds(args):
@@ -193,7 +227,7 @@ def _cmd_bounds(args):
     cd = cd_lower_bound(args.N, args.avr, args.mass)
     ratio = cd / mcp if mcp > 0 else math.nan
     headers = ["N", "avr", "mass", "mcp_bound", "cd_bound", "cd_over_mcp"]
-    return headers, [[args.N, args.avr, args.mass, mcp, cd, ratio]], True
+    return headers, [args.N, args.avr, args.mass, mcp, cd, ratio], True
 
 
 def _cmd_sharp(args):
@@ -217,7 +251,12 @@ def _cmd_sharp(args):
     ]
     # The set is extremal if it meets the bound at its own measure, up to rounding.
     own_bound = avr_lower_bound(args.N, args.avr, set_measure)
-    return headers, [row], abs(content - own_bound) <= 1e-12 * own_bound
+    return headers, row, abs(content - own_bound) <= 1e-12 * own_bound
+
+
+def _optional_number(config: dict, name: str, default):
+    """The search config's field name as require_number reads it, or default if absent."""
+    return require_number(config, name, "search config") if name in config else default
 
 
 def _cmd_search(args):
@@ -227,31 +266,35 @@ def _cmd_search(args):
     N = require_number(config, "N", "search config")
     # Without a known tail, avr is uncertified only for tabulated densities,
     # which a half-line space refuses; bounded spaces have avr = 0, certified.
-    avr_value = float(config["avr"]) if "avr" in config else avr(space, N).value
+    avr_value = _optional_number(config, "avr", None)
+    if avr_value is None:
+        avr_value = avr(space, N).value
     raw_volumes = config.get("volumes")
     if isinstance(raw_volumes, dict) and "sweep" in raw_volumes:
         _refuse_unknown(raw_volumes, {"sweep", "log"}, "volumes sweep")
         if not isinstance(log := raw_volumes.get("log", False), bool):
             raise DomainError(f"the volumes sweep field 'log' must be true or false, got {log!r}")
-        volumes = _parse_sweep(raw_volumes["sweep"], log)
+        if not isinstance(sweep := raw_volumes["sweep"], str):
+            raise DomainError(f"the volumes sweep field 'sweep' must be a string a:b:n, got {sweep!r}")
+        volumes = _parse_sweep(sweep, log)
     elif isinstance(raw_volumes, list):
-        volumes = [float(v) for v in raw_volumes]
+        volumes = require_numbers(config, "volumes", "search config")
     else:
         raise DomainError("search config needs 'volumes': a list or {'sweep': 'a:b:n'}")
     cfg = search_mod.SearchConfig(
         target_volume=0.0,
-        volume_tolerance=float(config.get("volume_tolerance", 1e-9)),
+        volume_tolerance=_optional_number(config, "volume_tolerance", 1e-9),
         grid_points=config.get("grid_points", 512),
         max_components=config.get("max_components", 2),
-        window=float(config["window"]) if "window" in config else None,
+        window=_optional_number(config, "window", None),
     )
     report = search_mod.certify_bound(space, N, avr_value, volumes, cfg)
     headers = ["v", "content", "bound", "margin", "best_set", "slack"]
-    rows = [
-        [r.v, r.content, r.bound, r.margin, _set_to_text(r.best_set), r.slack]
-        for r in report.rows
-    ]
-    return headers, rows, report.passed
+    rows = report.rows
+    columns = [[r.v for r in rows], [r.content for r in rows], [r.bound for r in rows],
+               [r.margin for r in rows], [_set_to_text(r.best_set) for r in rows],
+               [r.slack for r in rows]]
+    return headers, columns, report.passed
 
 
 def _cmd_localize(args):
@@ -260,19 +303,11 @@ def _cmd_localize(args):
         "R", "m_plus", "needle_integral", "scaled_profile_bound", "avr_bound",
         "residual", "ordered",
     ]
-    rows = []
-    all_ordered = True
-    for big_r in _parse_sweep(args.R, args.log):
-        report = loc.dimension_reduction_chain(model, args.r, big_r)
-        ordered = report.ordered()
-        all_ordered = all_ordered and ordered
-        rows.append(
-            [
-                report.R, report.m_plus, report.needle_integral,
-                report.scaled_profile_bound, report.avr_bound, report.residual, ordered,
-            ]
-        )
-    return headers, rows, all_ordered
+    reports = [loc.dimension_reduction_chain(model, args.r, big_r)
+               for big_r in _parse_sweep(args.R, args.log)]
+    ordered = [report.ordered() for report in reports]
+    columns = [[getattr(report, name) for report in reports] for name in headers[:-1]]
+    return headers, [*columns, ordered], all(ordered)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -358,11 +393,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if not (1 <= args.precision <= 17):
             raise DomainError("--precision must lie in [1, 17]")
-        headers, rows, passed = args.func(args)
+        headers, columns, passed = args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(headers, rows, args.format, args.precision)
+    _emit(headers, columns, args.format, args.precision)
     return 0 if passed else 2
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import (float_or_array, require_count, require_dimension, require_extent,
-                       require_field, require_number, require_positive)
+                       require_field, require_number, require_numbers, require_positive)
 from .profile import avr_lower_bound, cone_radius, log_cone_coefficient
 
 __all__ = [
@@ -362,12 +362,12 @@ def density_from_dict(data: dict) -> Density:
     if family is PiecewiseMonomialDensity:
         piece = f"a piece of the {what}"
         return PiecewiseMonomialDensity(
-            tuple(float(b) for b in require_field(data, "breakpoints", what)),
+            require_numbers(data, "breakpoints", what),
             tuple((require_number(p, "c", piece), require_number(p, "p", piece))
                   for p in require_field(data, "pieces", what)),
         )
     # The inverse of Density.to_dict: a table's two fields are arrays, all others numbers.
-    read = require_field if family is TabulatedDensity else require_number
+    read = require_numbers if family is TabulatedDensity else require_number
     return family(*(read(data, f.name, what) for f in fields(family)))
 
 

@@ -64,11 +64,29 @@ def require_field(data, name: str, what: str):
 
 def require_number(data, name: str, what: str) -> float:
     """require_field as a float: a JSON number, or a string float() reads, such as "inf"."""
-    value = require_field(data, name, what)
+    return _as_number(require_field(data, name, what), f"{what} field '{name}'")
+
+
+def require_numbers(data, name: str, what: str) -> tuple[float, ...]:
+    """require_field as a tuple of floats: a JSON array of what require_number reads."""
+    return as_numbers(require_field(data, name, what), f"{what} field '{name}'")
+
+
+def _as_number(value, label: str) -> float:
+    """value as a float, or a DomainError naming it as label."""
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise DomainError(f"{what} field '{name}' must be a number, got {value!r}") from None
+        raise DomainError(f"{label} must be a number, got {value!r}") from None
+
+
+def as_numbers(values, label: str, length: int | None = None) -> tuple[float, ...]:
+    """A JSON array (a list, or a tuple) of this length, if given, as a tuple
+    of floats; an error names the array as label and an element by its index."""
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        size = "" if length is None else f" of {length} numbers"
+        raise DomainError(f"{label} must be an array{size}, got {values!r}")
+    return tuple(_as_number(v, f"{label} element {k}") for k, v in enumerate(values))
 
 
 def float_or_array(x):

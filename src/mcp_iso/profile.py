@@ -12,8 +12,11 @@ Arbitrary diameters reduce to D = 1 through the exact rescalings
 f_D(D x) = f_1(x) / D and v_D(D a) = v_1(a), so only the unit closed form
 needs numerical care.  Both maps are symmetric about 1/2: f(1-x) = f(x) and
 v(1-a) = 1 - v(a), so every evaluation and every solve runs on the left
-half a <= 1/2.  Every function here takes a float or a numpy array and
-returns floats or arrays of its shape (numerics.float_or_array).
+half a <= 1/2.  The solve is a safeguarded Newton iteration on t = log a,
+started from a table of log v at the fixed nodes a = k/256 that each call
+builds afresh, so it takes 2 to 4 steps.  Every function here takes a
+float or a numpy array and returns floats or arrays of its shape
+(numerics.float_or_array).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ _LOG2 = math.log(2.0)
 _STEP_RTOL = 1e-10
 # Cap on the lockstep iterations; bisection alone needs fewer than 60.
 _MAX_STEPS = 100
+# The Newton start's table nodes t_k = log(k/256), k = 1..128, up to a = 1/2.
+_T_NODES = np.log(np.arange(1, 129) / 256.0)
 
 
 def _left_terms(N: float, t: np.ndarray):
@@ -71,14 +76,26 @@ def _solve_left(N: float, w: np.ndarray) -> np.ndarray:
     """t = log a with v(a) = w, for w in (0, 1/2], all elements in lockstep.
 
     Newton on the residual log v - log w, safeguarded by a per-element
-    bracket: a step that leaves the bracket is replaced by bisection.
+    bracket: a step that leaves the bracket is replaced by bisection.  It
+    starts from a table of log v at the fixed nodes a_k = k/256, k = 1..128,
+    read at log w by linear interpolation (log v is strictly increasing in
+    t), or below the first node from the two-term expansion
+    log v = log N + N t + (N-1)/2 a + O(a^min(2,N)).  The nodes do not
+    depend on w, so each element's start and iterates depend only on (N, w).
     """
     log_w = np.log(w)
     # v(a) <= N 2^(N-1) a^N on the left half bounds the root from below and
-    # v(1/2) = 1/2 from above; Newton starts from a = (w/N)^(1/N).
+    # v(1/2) = 1/2 from above.
     lo = (log_w - math.log(N) - (N - 1.0) * _LOG2) / N
     hi = np.full_like(log_w, -_LOG2)
-    t = np.minimum((log_w - math.log(N)) / N, hi)
+    log_v_nodes = _left_terms(N, _T_NODES)[0]
+    t_lead = (log_w - math.log(N)) / N
+    t = np.where(
+        log_w < log_v_nodes[0],
+        t_lead - (N - 1.0) / (2.0 * N) * np.exp(t_lead),
+        np.interp(log_w, log_v_nodes, _T_NODES),
+    )
+    t = np.minimum(np.maximum(t, lo), hi)
     active = np.ones(w.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
         log_v, slope, _ = _left_terms(N, t)

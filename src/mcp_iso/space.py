@@ -18,8 +18,8 @@ from .density import (
     density_from_dict,
 )
 from .errors import DomainError, PreconditionError
-from .numerics import (log_unit_ball_volume, require_dimension, require_extent, require_field,
-                       require_number)
+from .numerics import (as_numbers, log_unit_ball_volume, require_dimension, require_extent,
+                       require_field, require_number)
 from .profile import log_cone_coefficient
 
 __all__ = [
@@ -120,7 +120,11 @@ def space_from_dict(data: dict) -> WeightedInterval:
 
 
 def interval_union_from_dict(data: dict) -> IntervalUnion:
-    return IntervalUnion.of(require_field(data, "intervals", "set descriptor"))
+    intervals = require_field(data, "intervals", "set descriptor")
+    if not isinstance(intervals, (list, tuple)):
+        raise DomainError(f"set descriptor field 'intervals' must be an array, got {intervals!r}")
+    return IntervalUnion(tuple(as_numbers(pair, f"set descriptor interval {k}", 2)
+                               for k, pair in enumerate(intervals)))
 
 
 def _require_subset(space: WeightedInterval, subset: IntervalUnion) -> None:

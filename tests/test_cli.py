@@ -273,6 +273,7 @@ TINY_ANGLE_MODEL = {**PLANE_MODEL, "theta": 1e-320}
 CONE_SPACE = {"D": "inf", "density": {"type": "monomial", "c": 1, "p": 1}}
 HUGE_TABLE_SPACE = {"D": 3, "density": {"type": "tabulated", "grid": [0, 1, 2, 3],
                                         "values": [1e308, 1e308, 1e308, 1e308]}}
+TABLE_DENSITY = {"type": "tabulated", "grid": [0, 1, 2, 3], "values": [1, 2, 3, 4]}
 # x^1.5, then c * x^0.6 from x = 1.5 on [0, 3]: its least passing N is 2.5.
 PIECEWISE_SPACE = {"D": 3.0, "density": {
     "type": "piecewise_monomial", "breakpoints": [1.5],
@@ -312,6 +313,34 @@ MALFORMED_DESCRIPTORS = {
     "sweep-log-string": (("search",), sweep_files(log="false"),
                          "the volumes sweep field 'log' must be true or false, got 'false'"),
     "sweep-unknown-key": (("search",), sweep_files(lgo=True), "unknown volumes sweep field 'lgo'"),
+    "search-avr-null": (("search",), search_files(avr=None),
+                        "search config field 'avr' must be a number, got None"),
+    "search-window-list": (("search",), search_files(window=[1]),
+                           "search config field 'window' must be a number, got [1]"),
+    "search-tolerance-null": (("search",), search_files(volume_tolerance=None),
+                              "search config field 'volume_tolerance' must be a number, got None"),
+    "search-volume-null": (("search",), search_files(volumes=[0.5, None]),
+                           "search config field 'volumes' element 1 must be a number, got None"),
+    "sweep-not-a-string": (("search",), search_files(volumes={"sweep": 5}),
+                           "the volumes sweep field 'sweep' must be a string a:b:n, got 5"),
+    "table-grid-null": (("validate-density", "--N", "3"),
+                        {"--space": {"D": 3, "density": {**TABLE_DENSITY, "grid": [0, None, 2, 3]}}},
+                        "density descriptor of type 'tabulated' field 'grid' element 1 "
+                        "must be a number, got None"),
+    "table-values-text": (("validate-density", "--N", "3"),
+                          {"--space": {"D": 3, "density": {**TABLE_DENSITY,
+                                                           "values": [1, 2, "x", 4]}}},
+                          "density descriptor of type 'tabulated' field 'values' element 2 "
+                          "must be a number, got 'x'"),
+    "table-grid-number": (("validate-density", "--N", "3"),
+                          {"--space": {"D": 3, "density": {**TABLE_DENSITY, "grid": 3}}},
+                          "density descriptor of type 'tabulated' field 'grid' "
+                          "must be an array, got 3"),
+    "breakpoints-null": (("validate-density", "--N", "3"),
+                         {"--space": {"D": 3.0, "density": {**PIECEWISE_SPACE["density"],
+                                                            "breakpoints": [None]}}},
+                         "density descriptor of type 'piecewise_monomial' field 'breakpoints' "
+                         "element 0 must be a number, got None"),
 }
 
 

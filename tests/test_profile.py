@@ -211,13 +211,49 @@ def test_profile_matches_mpmath_to_1e12_relative(n):
 
 
 def test_scalar_call_equals_its_array_element_bit_for_bit():
-    vs = np.concatenate([[0.0, 1e-300, 1e-8, 0.5, 1.0 - 1e-9, 1.0], np.linspace(0.05, 0.95, 7)])
+    base = np.concatenate([[0.0, 1e-300, 1e-8, 0.5, 1.0 - 1e-9, 1.0], np.linspace(0.05, 0.95, 7)])
     for n in (1.01, 2.0, 5.0, 30.0):
+        # The volumes of the Newton start's table nodes a = k/256 (the first,
+        # interior ones and a = 1/2), their mirror images, and the volume
+        # just below the first node, where the two-term start takes over.
+        nodes = eval_v(n, 1.0, np.array([1.0, 2.0, 37.0, 100.0, 128.0]) / 256.0)
+        vs = np.concatenate([base, nodes, 1.0 - nodes, np.nextafter(nodes[:1], 0.0)])
         res = profile_mcp(n, 2.5, vs)
         for k, v in enumerate(vs):
             one = profile_mcp(n, 2.5, float(v))
             assert isinstance(one.profile, float)
             assert (one.a, one.profile) == (res.a[k], res.profile[k])
+
+
+def benchmark_sweeps():
+    """Sweeps of the shapes the profile benchmark runs: 150 log-spaced
+    volumes from 1e-8 or 1e-6 to 0.3 or 0.5, and 151 evenly spaced ones
+    from c to 1 - c."""
+    for lo, hi in ((1e-8, 0.3), (1e-6, 0.5)):
+        yield np.geomspace(lo, hi, 150)
+    for c in (0.01, 0.05):
+        yield np.linspace(c, 1.0 - c, 151)
+
+
+def test_newton_start_leaves_at_most_four_steps(monkeypatch):
+    # One _left_terms call builds the node table, one per Newton step, and
+    # one takes f at the root: the start leaves at most four steps.
+    import mcp_iso.profile as prof
+
+    calls = []
+    left_terms = prof._left_terms
+
+    def counted(N, t):
+        calls.append(N)
+        return left_terms(N, t)
+
+    monkeypatch.setattr(prof, "_left_terms", counted)
+    inputs = [(n, v) for n in ORACLE_N for v in [ORACLE_V, *map(float, ORACLE_V)]]
+    inputs += [(n, vs) for n in (1.5, 2.0, 3.0, 5.0, 10.0) for vs in benchmark_sweeps()]
+    for n, v in inputs:
+        calls.clear()
+        profile_mcp(n, 1.0, v)
+        assert len(calls) <= 1 + 4 + 1, (n, v)
 
 
 def test_closed_forms_take_arrays():

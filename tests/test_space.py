@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -339,6 +340,20 @@ def test_space_json_round_trip():
     for space in (unit_space(2.0), sharp_space(0.2, 1.0, 2.0)[0]):
         again = space_from_dict(space.to_dict())
         assert again == space
+
+
+@pytest.mark.parametrize(
+    "intervals, named",
+    [
+        ([[0.0, None]], "set descriptor interval 0 element 1 must be a number, got None"),
+        ([[0.0, 1.0], [2.0]], "set descriptor interval 1 must be an array of 2 numbers, got [2.0]"),
+        ([[0.0, 1.0], "x"], "set descriptor interval 1 must be an array of 2 numbers, got 'x'"),
+        ({"s": 0.0}, "set descriptor field 'intervals' must be an array, got {'s': 0.0}"),
+    ],
+)
+def test_interval_union_from_dict_names_the_element(intervals, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        interval_union_from_dict({"intervals": intervals})
 
 
 def test_space_validation():
