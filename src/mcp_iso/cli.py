@@ -22,7 +22,7 @@ from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import require_number, require_numbers
+from .numerics import as_number, as_numbers, require_count, require_number, require_numbers
 from .profile import (
     avr_lower_bound,
     cd_lower_bound,
@@ -49,19 +49,20 @@ _DENSITY_GRID = 512
 
 
 def _parse_sweep(text: str, log: bool) -> list[float]:
-    """A single float, or 'a:b:n' for n points from a to b."""
-    if ":" not in text:
-        return [float(text)]
+    """A single float, or 'a:b:n' for n points from a to b; an error names the text."""
     parts = text.split(":")
+    if len(parts) == 1:
+        return [as_number(text, f"sweep {text!r}")]
     if len(parts) != 3:
         raise DomainError(f"sweep must look like a:b:n, got {text!r}")
-    a, b = float(parts[0]), float(parts[1])
+    a, b = as_numbers(parts[:2], f"sweep {text!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"sweep endpoints must be finite, got {text!r}")
-    n = int(parts[2])
-    if n < 1:
-        raise DomainError(f"a sweep needs at least one point, got {text!r}")
-    return _sweep(a, b, n, log)
+    try:
+        n = int(parts[2])
+    except ValueError:
+        n = parts[2]  # no integer: require_count refuses it
+    return _sweep(a, b, require_count(f"the point count of sweep {text!r}", n, 1), log)
 
 
 def _sweep(a: float, b: float, n: int, log: bool) -> list[float]:
@@ -110,20 +111,15 @@ def _emit(headers: list[str], columns: list, fmt: str, precision: int) -> None:
 
     A column is a list of cells, one per row, or any other value: one cell
     shown in every row.  All list columns have the table's length; a table
-    with no list column has one row.  Each float is formatted once, even
-    where one list object is passed as two columns, and non-finite floats
+    with no list column has one row.  In CSV each float is formatted once,
+    even where one list object is passed as two columns; non-finite floats
     come out as inf, -inf or nan.
     """
     spec = f".{precision}g"
     n_rows = next((len(c) for c in columns if isinstance(c, list)), 1)
     if fmt == "json":
-        rendered = {}
-        for c in columns:
-            if id(c) not in rendered:
-                cells = c if isinstance(c, list) else [c]
-                rendered[id(c)] = [_json_cell(v, spec) for v in cells]
-        table = [rendered[id(c)] if isinstance(c, list) else repeat(rendered[id(c)][0], n_rows)
-                 for c in columns]
+        table = [[_json_cell(v, spec) for v in c] if isinstance(c, list)
+                 else repeat(_json_cell(c, spec), n_rows) for c in columns]
         records = [dict(zip(headers, row)) for row in zip(*table)]
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
         return
@@ -178,8 +174,7 @@ def _cmd_profile(args):
 def _cmd_expansion(args):
     if not (0.0 < args.v_min < args.v_max < math.inf):
         raise DomainError(f"need 0 < --v-min < --v-max < inf, got {args.v_min} and {args.v_max}")
-    if args.points < 1:
-        raise DomainError(f"--points must be at least 1, got {args.points}")
+    require_count("--points", args.points, 1)
     lead = expansion_leading_coefficient(args.N)
     vs = np.array(_sweep(args.v_max, args.v_min, args.points, log=True))
     prof = profile_mcp(args.N, 1.0, vs).profile
@@ -238,17 +233,8 @@ def _cmd_sharp(args):
     headers = [
         "avr", "mass", "N", "x_star", "set_measure", "content", "bound", "gap", "density",
     ]
-    row = [
-        args.avr,
-        args.mass,
-        args.N,
-        space.h.x_star,
-        set_measure,
-        content,
-        bound,
-        content - bound,
-        json.dumps(space.h.to_dict()),
-    ]
+    row = [args.avr, args.mass, args.N, space.h.x_star, set_measure, content, bound,
+           content - bound, json.dumps(space.h.to_dict())]
     # The set is extremal if it meets the bound at its own measure, up to rounding.
     own_bound = avr_lower_bound(args.N, args.avr, set_measure)
     return headers, row, abs(content - own_bound) <= 1e-12 * own_bound

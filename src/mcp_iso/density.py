@@ -21,8 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (float_or_array, require_count, require_dimension, require_extent,
-                       require_field, require_number, require_numbers, require_positive)
+from .numerics import (as_array, float_or_array, require_count, require_dimension,
+                       require_extent, require_field, require_increasing, require_nonnegative,
+                       require_number, require_numbers, require_positive)
 from .profile import avr_lower_bound, cone_radius, log_cone_coefficient
 
 __all__ = [
@@ -81,8 +82,9 @@ class Density:
         return float_or_array(self._eval(np.asarray(x, dtype=float)))
 
     def integral(self, s: float, t):
-        """Exact integral of the weight over [s, t]."""
-        return float_or_array(self._integral(float(s), np.asarray(t, dtype=float)))
+        """Exact integral of the weight over [s, t]; a float t gives its array element's bits."""
+        t = np.asarray(t, dtype=float)
+        return float_or_array(self._integral(float(s), np.atleast_1d(t)).reshape(t.shape))
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -147,15 +149,15 @@ class _PowerPieces(Density):
             elif q == 0.0:  # only after the first piece, where a >= lo > 0
                 part = c * np.log(b / a)
             else:
-                # A Python float's power raises where numpy's only warns, and
-                # a part whose a ** q overflows has no finite value.
-                try:
-                    a_q = a ** q
-                except OverflowError:
+                # a ** q by the routine that raises b, so an empty part (b = a)
+                # is exactly 0; a part whose a ** q overflows has no finite value.
+                with np.errstate(over="ignore"):
+                    a_q = (np.array([a]) ** q)[0]
+                if a_q == math.inf:
                     raise DomainError(
                         f"{self!r}: the integral of its piece x^{p:g} from x = {a:g} "
                         "leaves the float range"
-                    ) from None
+                    )
                 part = c * (b ** q - a_q) / q
             total = part if total is None else total + part
         return total
@@ -187,8 +189,7 @@ class MonomialDensity(_PowerPieces):
 
     def __post_init__(self):
         require_positive("monomial coefficient c", self.c)
-        if not (math.isfinite(self.p) and self.p >= 0.0):
-            raise DomainError(f"monomial exponent must be >= 0, got {self.p}")
+        require_nonnegative("monomial exponent p", self.p)
         object.__setattr__(self, "_pieces", ((self.c, self.p),))
 
     def scaled(self, factor: float) -> "MonomialDensity":
@@ -209,8 +210,8 @@ class PiecewiseMonomialDensity(_PowerPieces):
     kind = "piecewise_monomial"
 
     def __post_init__(self):
-        bps = tuple(float(b) for b in self.break_values)
-        pcs = tuple((float(c), float(p)) for c, p in self.pieces)
+        bps = require_increasing("breakpoints", self.break_values)
+        pcs = tuple((require_positive("piece coefficient", c), float(p)) for c, p in self.pieces)
         object.__setattr__(self, "break_values", bps)
         object.__setattr__(self, "pieces", pcs)
         if len(pcs) != len(bps) + 1:
@@ -218,19 +219,14 @@ class PiecewiseMonomialDensity(_PowerPieces):
                 f"need exactly one more piece than breakpoints, got "
                 f"{len(pcs)} pieces for {len(bps)} breakpoints"
             )
-        if any(b <= 0 or not math.isfinite(b) for b in bps):
-            raise DomainError("breakpoints must be positive and finite")
-        if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
-            raise DomainError("breakpoints must be strictly increasing")
-        for c, p in pcs:
-            require_positive("piece coefficient", c)
+        for k, b in enumerate(bps):
+            require_positive(f"breakpoint {k}", b)
+        for _, p in pcs:
             if not math.isfinite(p):
                 raise DomainError(f"piece exponent must be finite, got {p}")
-        if pcs[0][1] < 0.0:
-            raise DomainError("first piece exponent must be >= 0 (continuity at 0)")
+        require_nonnegative("first piece exponent", pcs[0][1])
         for b, (c0, p0), (c1, p1) in zip(bps, pcs, pcs[1:]):
-            left = c0 * b ** p0
-            right = c1 * b ** p1
+            left, right = c0 * b ** p0, c1 * b ** p1
             if abs(left - right) > _CONTINUITY_RTOL * max(abs(left), abs(right), 1.0):
                 raise DomainError(f"pieces disagree at breakpoint {b}: {left} vs {right}")
         object.__setattr__(self, "_pieces", pcs)
@@ -299,18 +295,14 @@ class TabulatedDensity(Density):
     kind = "tabulated"
 
     def __post_init__(self):
-        g = tuple(float(x) for x in self.grid)
-        v = tuple(float(x) for x in self.values)
+        g = require_increasing("tabulated grid", self.grid)
+        v = tuple(require_nonnegative(f"tabulated value {k}", x) for k, x in enumerate(self.values))
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
         if len(g) < 2 or len(g) != len(v):
             raise DomainError("tabulated density needs matching grid/values, length >= 2")
-        if not all(a < b for a, b in zip(g, g[1:])):
-            raise DomainError("tabulated grid must be strictly increasing")
-        if not (g[0] >= 0.0 and math.isfinite(g[-1])):
-            raise DomainError("tabulated grid must start at x >= 0 and end at a finite x")
-        if not all(0.0 <= x < math.inf for x in v):
-            raise DomainError("tabulated values must be non-negative and finite")
+        require_nonnegative("tabulated grid start", g[0])
+        require_nonnegative("tabulated grid end", g[-1])
         if any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:])):
             raise DomainError("tabulated density vanishes on a whole segment")
         # Array copies for np.interp and the table's span, kept out of the dataclass fields.
@@ -361,10 +353,10 @@ def density_from_dict(data: dict) -> Density:
     what = f"density descriptor of type '{kind}'"
     if family is PiecewiseMonomialDensity:
         piece = f"a piece of the {what}"
+        pieces = as_array(require_field(data, "pieces", what), f"{what} field 'pieces'")
         return PiecewiseMonomialDensity(
             require_numbers(data, "breakpoints", what),
-            tuple((require_number(p, "c", piece), require_number(p, "p", piece))
-                  for p in require_field(data, "pieces", what)),
+            tuple((require_number(p, "c", piece), require_number(p, "p", piece)) for p in pieces),
         )
     # The inverse of Density.to_dict: a table's two fields are arrays, all others numbers.
     read = require_numbers if family is TabulatedDensity else require_number
@@ -454,9 +446,12 @@ def _witness_scan(
     the sample: each side's largest (x^(N-1) at the last sample, (D - x)^(N-1)
     at the first) overflows, and its least with a positive base (x^(N-1) at
     the first sample with x > 0, (D - x)^(N-1) at the last with x < D) is
-    zero or subnormal, where h / power can overflow.
+    zero or subnormal, where h / power can overflow.  h is first multiplied by
+    a power of two (exact) to at most 1, so no other quotient or product overflows.
     """
     half_line = math.isinf(D)
+    unit = 2.0 ** -max(math.frexp(hv.max())[1], 0)
+    hv = hv * unit
     # The samples at which each side's power is largest, then least.
     x_ends = (len(xs) - 1, int(np.searchsorted(xs, 0.0, side="right")))
     room_ends = () if half_line else (0, int(np.searchsorted(xs, D)) - 1)
@@ -509,9 +504,9 @@ def _witness_scan(
             if viol.any():
                 k = int(np.argmax(viol))
                 x0, x1 = float(xs[i]), float(xs[i + 1 + k])
-                if up[k]:
-                    return Witness(x0, x1, "upper", float(up_lhs[k]), float(up_rhs[k]))
-                return Witness(x0, x1, "lower", float(lo_lhs[k]), float(lo_rhs[k]))
+                side, lhs, rhs = ("upper", up_lhs, up_rhs) if up[k] else ("lower", lo_lhs, lo_rhs)
+                # Scaled back; a side past the float range is inf.
+                return Witness(x0, x1, side, float(lhs[k]) / unit, float(rhs[k]) / unit)
         return None
 
     return witness

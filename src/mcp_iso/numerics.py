@@ -46,6 +46,22 @@ def require_positive(name: str, value: float) -> float:
     return float(value)
 
 
+def require_nonnegative(name: str, value: float) -> float:
+    """Validate a non-negative, finite real parameter; return it as a float."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be non-negative and finite, got {float(value)}")
+    return float(value)
+
+
+def require_increasing(name: str, values) -> tuple[float, ...]:
+    """values as a tuple of floats, each above the one before it; NaN refused."""
+    xs = tuple(float(v) for v in values)
+    for k, x in enumerate(xs):
+        if math.isnan(x) or k and not xs[k - 1] < x:
+            raise DomainError(f"{name} must be strictly increasing, got {x} at element {k}")
+    return xs
+
+
 def require_extent(name: str, value: float) -> float:
     """Validate a positive length, math.inf allowed; return it as a float."""
     if not value > 0.0:
@@ -64,7 +80,7 @@ def require_field(data, name: str, what: str):
 
 def require_number(data, name: str, what: str) -> float:
     """require_field as a float: a JSON number, or a string float() reads, such as "inf"."""
-    return _as_number(require_field(data, name, what), f"{what} field '{name}'")
+    return as_number(require_field(data, name, what), f"{what} field '{name}'")
 
 
 def require_numbers(data, name: str, what: str) -> tuple[float, ...]:
@@ -72,21 +88,27 @@ def require_numbers(data, name: str, what: str) -> tuple[float, ...]:
     return as_numbers(require_field(data, name, what), f"{what} field '{name}'")
 
 
-def _as_number(value, label: str) -> float:
+def as_number(value, label: str) -> float:
     """value as a float, or a DomainError naming it as label."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{label} must be a number, got {value!r}") from None
 
 
-def as_numbers(values, label: str, length: int | None = None) -> tuple[float, ...]:
-    """A JSON array (a list, or a tuple) of this length, if given, as a tuple
-    of floats; an error names the array as label and an element by its index."""
+def as_array(values, label: str, length: int | None = None) -> list | tuple:
+    """values if a JSON array (a list or a tuple) of this length, if given;
+    else a DomainError naming it as label."""
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
         size = "" if length is None else f" of {length} numbers"
         raise DomainError(f"{label} must be an array{size}, got {values!r}")
-    return tuple(_as_number(v, f"{label} element {k}") for k, v in enumerate(values))
+    return values
+
+
+def as_numbers(values, label: str, length: int | None = None) -> tuple[float, ...]:
+    """as_array as a tuple of floats; an error names an element by its index."""
+    values = as_array(values, label, length)
+    return tuple(as_number(v, f"{label} element {k}") for k, v in enumerate(values))
 
 
 def float_or_array(x):

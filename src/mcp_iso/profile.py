@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import float_or_array, log_unit_ball_volume, require_dimension, require_positive
+from .numerics import (float_or_array, log_unit_ball_volume, require_dimension,
+                       require_nonnegative, require_positive)
 
 __all__ = [
     "ProfileResult",
@@ -237,8 +238,7 @@ def _mass_power_bound(N: float, avr: float, mass: float, log_power) -> float:
     inputs; 0 if avr or mass is 0.  As an exp of a sum of logs, no factor
     leaves the float range; a bound that does is a DomainError."""
     N = require_dimension(N)
-    if not (0.0 <= avr < math.inf and 0.0 <= mass < math.inf):
-        raise DomainError(f"avr and mass must be non-negative and finite, got {avr} and {mass}")
+    avr, mass = require_nonnegative("avr", avr), require_nonnegative("mass", mass)
     if avr == 0.0 or mass == 0.0:
         return 0.0
     try:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .density import SharpDensity
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import require_count, require_dimension, require_positive
+from .numerics import require_count, require_dimension, require_nonnegative, require_positive
 from .profile import avr_lower_bound, cone_radius
 from .space import IntervalUnion, WeightedInterval
 
@@ -67,8 +67,7 @@ class SearchConfig:
         if require_count("max_components", self.max_components, 1) > 2:
             raise DomainError(f"max_components must be 1 or 2, got {self.max_components}")
         require_positive("volume_tolerance", self.volume_tolerance)
-        if not 0.0 <= self.target_volume < math.inf:
-            raise DomainError(f"target_volume must be finite and >= 0, got {self.target_volume}")
+        require_nonnegative("target_volume", self.target_volume)
         if self.window is not None:
             require_positive("window", self.window)
 
@@ -435,14 +434,10 @@ def certify_bound(
     is built.
     """
     N = require_dimension(N)
-    if not 0.0 <= avr_value < math.inf:
-        raise DomainError(f"avr must be non-negative and finite, got {avr_value}")
-    volumes = [float(v) for v in volumes]
+    avr_value = require_nonnegative("avr", avr_value)
+    volumes = [require_nonnegative("swept volume", float(v)) for v in volumes]
     if not volumes:
         raise DomainError("certification needs at least one volume")
-    for v in volumes:
-        if not 0.0 <= v < math.inf:
-            raise DomainError(f"swept volume must be non-negative and finite, got {v}")
     rows = []
     for v in volumes:
         if cfg.window is None and not math.isfinite(space.D):

@@ -18,8 +18,8 @@ from .density import (
     density_from_dict,
 )
 from .errors import DomainError, PreconditionError
-from .numerics import (as_numbers, log_unit_ball_volume, require_dimension, require_extent,
-                       require_field, require_number)
+from .numerics import (as_array, as_numbers, log_unit_ball_volume, require_dimension,
+                       require_extent, require_field, require_increasing, require_number)
 from .profile import log_cone_coefficient
 
 __all__ = [
@@ -120,9 +120,8 @@ def space_from_dict(data: dict) -> WeightedInterval:
 
 
 def interval_union_from_dict(data: dict) -> IntervalUnion:
-    intervals = require_field(data, "intervals", "set descriptor")
-    if not isinstance(intervals, (list, tuple)):
-        raise DomainError(f"set descriptor field 'intervals' must be an array, got {intervals!r}")
+    intervals = as_array(require_field(data, "intervals", "set descriptor"),
+                         "set descriptor field 'intervals'")
     return IntervalUnion(tuple(as_numbers(pair, f"set descriptor interval {k}", 2)
                                for k, pair in enumerate(intervals)))
 
@@ -235,9 +234,7 @@ def avr(space: WeightedInterval, N: float) -> AvrResult:
 def bishop_gromov_check(space: WeightedInterval, N: float, radii: Sequence[float]) -> Verdict:
     """Verify that r -> m(B_r) / r^N is non-increasing on the sampled radii."""
     N = require_dimension(N)
-    rs = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise DomainError("radii must be strictly increasing")
+    rs = require_increasing("radii", radii)
     ratios = [volume_ratio(space, N, r) for r in rs]
     for (r0, q0), (r1, q1) in zip(zip(rs, ratios), zip(rs[1:], ratios[1:])):
         if q1 > q0 * (1.0 + _RATIO_RISE_RTOL):

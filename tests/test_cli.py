@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -336,6 +337,29 @@ MALFORMED_DESCRIPTORS = {
                           {"--space": {"D": 3, "density": {**TABLE_DENSITY, "grid": 3}}},
                           "density descriptor of type 'tabulated' field 'grid' "
                           "must be an array, got 3"),
+    "pieces-number": (("validate-density", "--N", "3"),
+                      {"--space": {"D": 3.0, "density": {**PIECEWISE_SPACE["density"], "pieces": 5}}},
+                      "density descriptor of type 'piecewise_monomial' field 'pieces' "
+                      "must be an array, got 5"),
+    "table-value-negative": (("validate-density", "--N", "3"),
+                             {"--space": {"D": 3, "density": {**TABLE_DENSITY,
+                                                              "values": [1, -2, 3, 4]}}},
+                             "tabulated value 1 must be non-negative and finite, got -2.0"),
+    "table-grid-repeated": (("validate-density", "--N", "3"),
+                            {"--space": {"D": 3, "density": {**TABLE_DENSITY,
+                                                             "grid": [0, 1, 1, 3]}}},
+                            "tabulated grid must be strictly increasing, got 1.0 at element 2"),
+    "sweep-endpoint-text": (("profile", "--N", "2", "--D", "1", "--v", "0.5:x:3"), {},
+                            "sweep '0.5:x:3' element 1 must be a number, got 'x'"),
+    "sweep-count-fraction": (("profile", "--N", "2", "--D", "1", "--v", "0.1:1:2.5"), {},
+                             "the point count of sweep '0.1:1:2.5' must be an integer >= 1, "
+                             "got '2.5'"),
+    "sweep-single-text": (("localize", "--r", "1", "--R", "x"), {"--model": PLANE_MODEL},
+                          "sweep 'x' must be a number, got 'x'"),
+    "search-sweep-endpoint-text": (("search",), search_files(volumes={"sweep": "0.5:x:3"}),
+                                   "sweep '0.5:x:3' element 1 must be a number, got 'x'"),
+    "search-avr-huge-integer": (("search",), search_files(avr=10 ** 400),
+                                "search config field 'avr' must be a number, got 1000"),
     "breakpoints-null": (("validate-density", "--N", "3"),
                          {"--space": {"D": 3.0, "density": {**PIECEWISE_SPACE["density"],
                                                             "breakpoints": [None]}}},
@@ -526,6 +550,94 @@ def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, n
     assert code == 1
     assert named in err
     assert err.count("\n") == 1
+
+
+# Malformed JSON values put into every field of every descriptor the CLI reads.
+MALFORMED_VALUES = [None, "x", [1], {"a": 1}, 5, True, -1, 0, "inf", "nan", [], [None], "1e400",
+                    1e308, [[1, 2]], [1, "x"]]
+FIELD_DENSITIES = {
+    "constant": {"type": "constant", "c": 1.0},
+    "monomial": {"type": "monomial", "c": 1.0, "p": 1.0},
+    "piecewise_monomial": {"type": "piecewise_monomial", "breakpoints": [1.0],
+                           "pieces": [{"c": 1.0, "p": 1.0}, {"c": 1.0, "p": 0.0}]},
+    "paper_sharp": {"type": "paper_sharp", "avr": 0.2, "mass": 1.0, "N": 2.0},
+    "tabulated": {"type": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 1.5]},
+}
+FIELD_SPACE = {"D": 2.0, "density": FIELD_DENSITIES["constant"]}
+FIELD_MODEL = {"theta": 1.0, "weight": FIELD_DENSITIES["monomial"], "N": 3.0, "ray_length": 2.0}
+FIELD_CONFIG = {"N": 2.0, "volumes": [0.5], "avr": 0.2, "volume_tolerance": 1e-9,
+                "grid_points": 64, "max_components": 2, "window": 4.0}
+# Other words an error uses for a field: the library's name for it (theta is
+# RadialModel.total_angle), or, for an overflow in the ratio check, the
+# sample of [0, D] whose power left the float range.
+FIELD_ALIASES = {
+    "D": ("diameter", "sample x"), "ray_length": ("sample x",), "theta": ("total_angle",),
+    "N": ("dimension",), "p": ("exponent",), "pieces": ("piece",), "breakpoints": ("breakpoint",),
+    "values": ("tabulated value",), "volumes": ("volume",),
+}
+PYTHON_TEXTS = ("is not iterable", "could not convert", "invalid literal", "object is not",
+                "argument must be", "not supported between", "too large to convert", "to unpack")
+
+
+def _field_cases(kind):
+    """(label, argv, files, names) for each malformed value in each field of
+    one descriptor; names are the words one of which the error must use."""
+    validate, localize = ("validate-density", "--N", "3"), ("localize", "--r", "0.25", "--R", "1")
+    if kind in FIELD_DENSITIES:
+        density = FIELD_DENSITIES[kind]
+        fields = {name: lambda v, name=name: {**density, name: v} for name in density}
+        if kind == "piecewise_monomial":
+            for key in ("c", "p"):
+                fields[f"pieces[0].{key}"] = lambda v, key=key: {
+                    **density, "pieces": [{"c": 1.0, "p": 1.0, key: v}, {"c": 1.0, "p": 0.0}]}
+        contexts = [(validate, lambda d: {"--space": {**FIELD_SPACE, "density": d}},
+                     ("density descriptor",)),
+                    (localize, lambda d: {"--model": {**FIELD_MODEL, "weight": d}},
+                     ("density descriptor", "radial weight"))]
+    else:
+        base, argv, flag, what = {
+            "space": (FIELD_SPACE, validate, "--space", ("space descriptor", "density descriptor")),
+            "model": (FIELD_MODEL, localize, "--model", ("model descriptor", "density descriptor")),
+            "config": (FIELD_CONFIG, ("search",), "--config", ("search config",)),
+        }[kind]
+        fields = {name: lambda v, name=name: {**base, name: v} for name in base}
+        extra = {"--space": SHARP_SPACE} if kind == "config" else {}
+        contexts = [(argv, lambda d: {**extra, flag: d}, what)]
+    for name, make in fields.items():
+        # A piece's field is named by its own name or as part of the pieces.
+        words = {name.split("[")[0], name.rsplit(".", 1)[-1]}
+        for argv, files, what in contexts:
+            names = (*words, *(a for w in words for a in FIELD_ALIASES.get(w, ())), *what)
+            for value in MALFORMED_VALUES:
+                yield f"{kind}.{name}={value!r} via {argv[0]}", argv, files(make(value)), names
+
+
+@pytest.mark.parametrize("kind", [*FIELD_DENSITIES, "space", "model", "config", "sweeps"])
+def test_every_malformed_field_is_named(capsys, tmp_path, kind):
+    # Each refused input prints one error line that names its field, sweep or
+    # descriptor, never the bare text of a Python exception; an accepted one
+    # ("inf" as D, 5 as c) may pass or fail its check.
+    if kind == "sweeps":
+        cases = [(f"sweep {text}", argv + (text,), files, ("sweep",))
+                 for text in ("0.5:x:3", "0.1:1:2.5", "x", "1:2:3:4")
+                 for argv, files in ((("profile", "--N", "2", "--D", "1", "--v"), {}),
+                                     (("localize", "--r", "1", "--R"), {"--model": PLANE_MODEL}))]
+        cases += [(f"volumes sweep {text}", ("search",), search_files(volumes={"sweep": text}),
+                   ("sweep",)) for text in ("0.5:x:3", "0.1:1:2.5", "x")]
+    else:
+        cases = list(_field_cases(kind))
+    unnamed = []
+    for label, argv, files, names in cases:
+        code, out, err = run_with_files(capsys, tmp_path, argv, files)
+        assert code in (0, 1, 2), label
+        if code != 1:
+            continue
+        line = err.removesuffix("\n")
+        named = any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", line) for n in names)
+        if (out or "\n" in line or not line.startswith("error: ") or not named
+                or any(text in line for text in PYTHON_TEXTS)):
+            unnamed.append(f"{label}: {err!r}")
+    assert unnamed == []
 
 
 def test_min_dimension_scans_no_end_the_bracket_decides(capsys, tmp_path):

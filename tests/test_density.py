@@ -214,13 +214,38 @@ def test_array_calls_match_scalar_calls_and_quadrature(family):
     assert isinstance(h(1.0), float) and isinstance(h.integral(0.0, 1.0), float)
     scalar_h = np.array([h(float(x)) for x in xs])
     scalar_prefix = np.array([h.integral(0.0, float(x)) for x in xs])
-    assert np.all(np.abs(hv - scalar_h) <= 4 * np.spacing(scalar_h))
-    assert np.all(np.abs(prefix - scalar_prefix) <= 4 * np.spacing(scalar_prefix))
+    # A float runs as a one-element array: the same power routine, the same bits.
+    assert np.array_equal(hv, scalar_h)
+    assert np.array_equal(prefix, scalar_prefix)
+    # An empty integral is exactly 0: pieces above t add nothing, not an offset.
+    assert prefix[0] == h.integral(0.0, 0.0) == 0.0
     with mpmath.workdps(30):
         for x, value in zip(xs[1::20], prefix[1::20]):
             cuts = [0.0] + [k for k in kinks if k < x] + [x]
             exact = mpmath.quad(weight, [mpmath.mpf(c) for c in cuts])
             assert value == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_four_piece_prefix_starts_at_zero():
+    # Each piece's lower end is raised to its power by the routine that
+    # raises the upper ends, so the empty parts above 1e-6 cancel exactly.
+    breaks, exponents = (1.596, 2.202, 2.942), (2.796, 0.01685, 2.628, 3.2)
+    coefficients = [1.0]
+    for b, p0, p1 in zip(breaks, exponents, exponents[1:]):
+        coefficients.append(coefficients[-1] * b ** p0 / b ** p1)
+    h = PiecewiseMonomialDensity(breaks, tuple(zip(coefficients, exponents)))
+    prefix = h.integral(0.0, np.array([0.0, 1e-6]))
+    assert prefix[0] == 0.0
+    assert prefix[1] == pytest.approx(1e-6 ** 3.796 / 3.796, rel=1e-13)
+    assert prefix[1] == h.integral(0.0, 1e-6)
+
+
+def test_sharp_flat_part_is_level_times_x():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        h = SharpDensity(rng.uniform(0.05, 2.0), rng.uniform(0.1, 5.0), rng.uniform(1.2, 6.0))
+        xs = rng.uniform(0.0, h.x_star, 50)
+        assert np.array_equal(h.integral(0.0, xs), h.level * xs)
 
 
 # The JSON form of each density of test_json_round_trip, byte for byte.
