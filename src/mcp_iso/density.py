@@ -120,20 +120,18 @@ class _PowerPieces(Density):
     """Monomial pieces (c, p), h = c * x^p, in _pieces, set once by each
     family's __post_init__.  Piece k covers (b_{k-1}, b_k] for the _breaks
     b_k, with b_{-1} = 0 and the last piece running to infinity, so x at a
-    breakpoint takes the left piece.  A flat piece (p = 0) is the constant c.
+    breakpoint takes the left piece.  A flat piece is c: x^0 = 1 at 0, inf, NaN.
     """
 
     def _eval(self, xs):
-        *left, (c, p) = self._pieces
-        if not left:
-            return np.full(xs.shape, c) if p == 0.0 else c * xs ** p
         # Right to left.  Each piece is evaluated on all of xs and its values
         # outside its own span dropped, so their overflow or division by
-        # zero is no error.
+        # zero is no error; a value past the float range is inf.
+        (c, p), *left = reversed(self._pieces)
         with np.errstate(divide="ignore", over="ignore"):
-            hv = c if p == 0.0 else c * xs ** p
-            for (c, p), b in zip(reversed(left), reversed(self._breaks)):
-                hv = np.where(xs <= b, c if p == 0.0 else c * xs ** p, hv)
+            hv = c * xs ** p
+            for (c, p), b in zip(left, reversed(self._breaks)):
+                hv = np.where(xs <= b, c * xs ** p, hv)
         return hv
 
     def _integral(self, s, t):
@@ -219,8 +217,8 @@ class PiecewiseMonomialDensity(_PowerPieces):
                 f"need exactly one more piece than breakpoints, got "
                 f"{len(pcs)} pieces for {len(bps)} breakpoints"
             )
-        for k, b in enumerate(bps):
-            require_positive(f"breakpoint {k}", b)
+        if bps:  # the least breakpoint; require_increasing refused the others
+            require_positive("breakpoint 0", bps[0])
         for _, p in pcs:
             if not math.isfinite(p):
                 raise DomainError(f"piece exponent must be finite, got {p}")
@@ -302,7 +300,6 @@ class TabulatedDensity(Density):
         if len(g) < 2 or len(g) != len(v):
             raise DomainError("tabulated density needs matching grid/values, length >= 2")
         require_nonnegative("tabulated grid start", g[0])
-        require_nonnegative("tabulated grid end", g[-1])
         if any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:])):
             raise DomainError("tabulated density vanishes on a whole segment")
         # Array copies for np.interp and the table's span, kept out of the dataclass fields.
@@ -442,28 +439,32 @@ def _witness_scan(
 
     What does not depend on N is prepared once: D - x, the suffix-extremum
     buffers and, on the half line, the lower bound's flags, as there q = h.
-    A power outside the normal float range is a DomainError naming N and
-    the sample: each side's largest (x^(N-1) at the last sample, (D - x)^(N-1)
+    A power outside the normal float range is a DomainError naming N, the
+    sample and D: each side's largest (x^(N-1) at the last sample, (D - x)^(N-1)
     at the first) overflows, and its least with a positive base (x^(N-1) at
     the first sample with x > 0, (D - x)^(N-1) at the last with x < D) is
     zero or subnormal, where h / power can overflow.  h is first multiplied by
-    a power of two (exact) to at most 1, so no other quotient or product overflows.
+    a power of two (exact) to at most 1, so no other quotient or product
+    overflows; an inf or NaN sample of h, which none scales, is a DomainError.
     """
     half_line = math.isinf(D)
-    unit = 2.0 ** -max(math.frexp(hv.max())[1], 0)
+    top = hv.max()  # NaN if any sample is
+    if not top < math.inf:
+        i = int(np.flatnonzero(~np.isfinite(hv))[0])
+        raise DomainError(f"the ratio check's h is {hv[i]} at sample x={xs[i]}, D={D}")
+    unit = 2.0 ** -max(math.frexp(top)[1], 0)
     hv = hv * unit
-    # The samples at which each side's power is largest, then least.
-    x_ends = (len(xs) - 1, int(np.searchsorted(xs, 0.0, side="right")))
-    room_ends = () if half_line else (0, int(np.searchsorted(xs, D)) - 1)
+    # (power, i) at which each power is largest, then least: x^(N-1) is power 0.
+    ends = [(0, len(xs) - 1), (0, int(np.searchsorted(xs, 0.0, side="right")))]
+    ends += [] if half_line else [(1, 0), (1, int(np.searchsorted(xs, D)) - 1)]
     loose = rel_tol - _QUOTIENT_ROUNDING
     # later_*[i] is the extremum over the samples after i; none follows the last.
     later_max = np.full(len(xs), -np.inf)
     later_min = np.full(len(xs), np.inf)
     if half_line:
         ones = np.ones_like(xs)
-        with np.errstate(invalid="ignore"):
-            np.minimum.accumulate(hv[:0:-1], out=later_min[-2::-1])
-            lo_flagged = _falls(later_min, hv, loose)
+        np.minimum.accumulate(hv[:0:-1], out=later_min[-2::-1])
+        lo_flagged = _falls(later_min, hv, loose)
     else:
         room = D - xs
 
@@ -471,17 +472,10 @@ def _witness_scan(
         with np.errstate(over="ignore"):
             xw = xs ** (N - 1.0)
             dw = ones if half_line else room ** (N - 1.0)
-        for i in x_ends:
-            if not _NORMAL_MIN <= xw[i] < math.inf:
-                raise DomainError(
-                    f"the ratio check's x^(N-1) leaves the float range at N={N}, sample x={xs[i]}"
-                )
-        for i in room_ends:
-            if not _NORMAL_MIN <= dw[i] < math.inf:
-                raise DomainError(
-                    f"the ratio check's (D - x)^(N-1) leaves the float range at N={N}, "
-                    f"sample x={xs[i]}, D={D}"
-                )
+        for power, i in ends:
+            if not _NORMAL_MIN <= (xw, dw)[power][i] < math.inf:
+                raise DomainError(f"the ratio check's {('x', '(D - x)')[power]}^(N-1) leaves "
+                                  f"the float range at N={N}, sample x={xs[i]}, D={D}")
         # A sample at x = 0 never violates the upper bound, one at x = D never
         # the lower bound: both sides of their cross-multiplied form vanish.
         up_ok = xw > 0.0

@@ -47,7 +47,7 @@ class RadialModel:
     ray_length: float  # math.inf for complete rays
 
     def __post_init__(self):
-        require_positive("total_angle", self.total_angle)
+        require_positive("theta", self.total_angle)
         require_dimension(self.N)
         require_extent("ray_length", self.ray_length)
         verdict = check_mcp_density(self.radial_weight, self.ray_length, self.N)

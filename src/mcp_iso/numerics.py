@@ -54,11 +54,12 @@ def require_nonnegative(name: str, value: float) -> float:
 
 
 def require_increasing(name: str, values) -> tuple[float, ...]:
-    """values as a tuple of floats, each above the one before it; NaN refused."""
+    """values as a tuple of finite floats, each above the one before it."""
     xs = tuple(float(v) for v in values)
     for k, x in enumerate(xs):
-        if math.isnan(x) or k and not xs[k - 1] < x:
-            raise DomainError(f"{name} must be strictly increasing, got {x} at element {k}")
+        if not math.isfinite(x) or k and not xs[k - 1] < x:
+            raise DomainError(f"{name} must be finite and strictly increasing, "
+                              f"got {x} at element {k}")
     return xs
 
 

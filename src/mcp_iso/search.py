@@ -32,6 +32,7 @@ level loop holds starts and ends as int16 on grids below 2**15 points.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -90,22 +91,17 @@ def _resolve_window(space: WeightedInterval, cfg: SearchConfig) -> float:
     if isinstance(h, SharpDensity):
         # The extremal set and its competitors at comparable volume live well
         # inside four switch radii.
-        window = _cone_window(h.N, h.avr, max(cfg.target_volume, h.mass))
-        if not math.isfinite(window):
-            raise DomainError(
-                f"the default search window leaves the float range at target volume "
-                f"{cfg.target_volume}, mass {h.mass}"
-            )
-        return window
+        return _cone_window(h.N, h.avr, max(cfg.target_volume, h.mass))
     raise DomainError("searching a half-line space requires an explicit window")
 
 
 def _cone_window(N: float, avr: float, volume: float) -> float:
-    """Four radii of the cone ball of this volume, inf past the float range."""
-    try:
-        return 4.0 * cone_radius(N, avr, volume)
-    except OverflowError:
-        return math.inf
+    """Four radii of the cone ball of this volume; a DomainError past the float range."""
+    with contextlib.suppress(OverflowError):
+        window = 4.0 * cone_radius(N, avr, volume)
+        if window < math.inf:
+            return window
+    raise DomainError(f"the search window leaves the float range at v={volume}, N={N}, avr={avr}")
 
 
 # The last grid built: (space, window, grid_points, arrays).  It holds the
@@ -115,8 +111,8 @@ _last_grid: tuple = (None, None, None, ())
 
 def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int):
     """The grid xs on [0, window], its prefix measures and the left- and
-    right-end weights, as read-only arrays.  The prefix measures do not
-    decrease, so a last one past the float range is a DomainError.
+    right-end weights, as read-only arrays.  A prefix measure past the float
+    range, also inside a table whose integral is finite, is a DomainError.
 
     The last grid is kept and served again to the same space object (not to
     an equal one), window and grid size: certify_bound reads a volume's gap
@@ -128,7 +124,7 @@ def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int)
     xs = np.linspace(0.0, window, grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
         prefix = space.h.integral(0.0, xs)
-    if not math.isfinite(prefix[-1]):
+    if not prefix.max() < math.inf:  # NaN if any prefix is
         raise DomainError(f"the prefix measures on the window [0, {window}] leave the float range")
     hv = space.h(xs)
     left_w = np.where(xs > 0.0, hv, 0.0)
@@ -430,8 +426,8 @@ def certify_bound(
     gap so the window is always feasible.  Each volume builds one grid: the
     brute_force_profile call that searches it gets the grid the gap and slack
     were read from.  A window or a slack that leaves the float range is a
-    DomainError naming v, N and avr; the window is checked before its grid
-    is built.
+    DomainError naming the volume, N and avr; the window is checked before
+    its grid is built.
     """
     N = require_dimension(N)
     avr_value = require_nonnegative("avr", avr_value)
@@ -447,10 +443,6 @@ def certify_bound(
             window = _cone_window(N, avr_value, max(v, cfg.volume_tolerance))
         else:
             window = _resolve_window(space, cfg)
-        if not math.isfinite(window):
-            raise DomainError(
-                f"the search window leaves the float range at v={v}, N={N}, avr={avr_value}"
-            )
         _, prefix, left_w, right_w = _grid_and_measures(space, window, cfg.grid_points)
         gap = float(np.diff(prefix).max())
         max_h = float(np.maximum(left_w, right_w).max())

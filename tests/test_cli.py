@@ -284,6 +284,16 @@ PIECEWISE_SPACE = {"D": 3.0, "density": {
 SHORT_PIECEWISE_SPACE = {"D": 0.9, "density": {
     "type": "piecewise_monomial", "breakpoints": [0.45],
     "pieces": [{"c": 1, "p": 1.5}, {"c": 0.48740643917899545, "p": 0.6}]}}
+# x^400 on [0, 1e10], and its piecewise twin (x, then x^400 from x = 1): h
+# overflows at the ratio check's samples.
+POWER_400 = {"type": "monomial", "c": 1, "p": 400}
+POWER_400_SPACE = {"D": 1e10, "density": POWER_400}
+PIECEWISE_400_SPACE = {"D": 1e10, "density": {
+    "type": "piecewise_monomial", "breakpoints": [1],
+    "pieces": [{"c": 1, "p": 1}, {"c": 1, "p": 400}]}}
+# A table whose trapezoid 0.5 * (1e308 + 1e308) overflows inside it.
+PEAK_TABLE_SPACE = {"D": 2, "density": {"type": "tabulated", "grid": [0, 1, 2],
+                                        "values": [1, 1e308, 1]}}
 
 
 def search_files(**config):
@@ -348,7 +358,8 @@ MALFORMED_DESCRIPTORS = {
     "table-grid-repeated": (("validate-density", "--N", "3"),
                             {"--space": {"D": 3, "density": {**TABLE_DENSITY,
                                                              "grid": [0, 1, 1, 3]}}},
-                            "tabulated grid must be strictly increasing, got 1.0 at element 2"),
+                            "tabulated grid must be finite and strictly increasing, got 1.0 at "
+                            "element 2"),
     "sweep-endpoint-text": (("profile", "--N", "2", "--D", "1", "--v", "0.5:x:3"), {},
                             "sweep '0.5:x:3' element 1 must be a number, got 'x'"),
     "sweep-count-fraction": (("profile", "--N", "2", "--D", "1", "--v", "0.1:1:2.5"), {},
@@ -488,7 +499,7 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
         (("expansion", "--N", "2", "--v-min", "1e-8", "--points", "0"), {}, "--points"),
         (("search",), search_files(volumes=["inf"]), "volume must be non-negative and finite"),
         (("localize", "--r", "1", "--R", "8:400:3"), {"--model": INFINITE_ANGLE_MODEL},
-         "total_angle"),
+         "theta must be positive and finite, got inf"),
         (("localize", "--r", "1e-201", "--R", "1e-200"), {"--model": PLANE_MODEL},
          "at R=1e-200 the ray mass 0.0 "),
         (("localize", "--r", "1e-160", "--R", "1e-155"), {"--model": PLANE_MODEL},
@@ -524,9 +535,24 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
         (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {},
          "leaves the float range at N=2.0, D=1e-320"),
         (("validate-density", "--N", "1000"), {"--space": PIECEWISE_SPACE},
-         "x^(N-1) leaves the float range at N=1000.0, sample x=3.0"),
+         "x^(N-1) leaves the float range at N=1000.0, sample x=3.0, D=3.0"),
         (("validate-density", "--N", "1000"), {"--space": SHORT_PIECEWISE_SPACE},
-         "x^(N-1) leaves the float range at N=1000.0, sample x=0.0017612524461839531"),
+         "x^(N-1) leaves the float range at N=1000.0, sample x=0.0017612524461839531, D=0.9"),
+        (("validate-density", "--N", "2"), {"--space": POWER_400_SPACE},
+         "the ratio check's h is inf at sample x=2500000000.0, D=10000000000.0"),
+        (("validate-density", "--N", "2"), {"--space": PIECEWISE_400_SPACE},
+         "the ratio check's h is inf at sample x=19569471.624266144, D=10000000000.0"),
+        (("min-dimension", "--n-hi", "500"), {"--space": POWER_400_SPACE},
+         "the ratio check's h is inf at sample x=2500000000.0, D=10000000000.0"),
+        (("min-dimension", "--n-hi", "500"), {"--space": PIECEWISE_400_SPACE},
+         "the ratio check's h is inf at sample x=19569471.624266144, D=10000000000.0"),
+        (("localize", "--r", "1", "--R", "8"),
+         {"--model": {"theta": 1, "weight": POWER_400, "N": 2, "ray_length": 1e10}},
+         "the ratio check's h is inf at sample x=2500000000.0, D=10000000000.0"),
+        (("search",), {"--space": PEAK_TABLE_SPACE,
+                       "--config": {"N": 2, "volumes": [0.5], "grid_points": 64,
+                                    "max_components": 1}},
+         "the prefix measures on the window [0, 2.0] leave the float range"),
         *MALFORMED_DESCRIPTORS.values(),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
@@ -537,7 +563,10 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "search-slack-overflow", "search-cone-slack-overflow", "search-window-overflow",
          "search-window-radius-overflow", "search-slack-overflow-positive-margin",
          "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
-         "ratio-power-overflow", "ratio-power-underflow",
+         "ratio-power-overflow", "ratio-power-underflow", "ratio-h-overflow",
+         "ratio-piecewise-h-overflow", "min-dimension-h-overflow",
+         "min-dimension-piecewise-h-overflow", "localize-weight-overflow",
+         "search-trapezoid-overflow",
          *MALFORMED_DESCRIPTORS],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
@@ -567,11 +596,10 @@ FIELD_SPACE = {"D": 2.0, "density": FIELD_DENSITIES["constant"]}
 FIELD_MODEL = {"theta": 1.0, "weight": FIELD_DENSITIES["monomial"], "N": 3.0, "ray_length": 2.0}
 FIELD_CONFIG = {"N": 2.0, "volumes": [0.5], "avr": 0.2, "volume_tolerance": 1e-9,
                 "grid_points": 64, "max_components": 2, "window": 4.0}
-# Other words an error uses for a field: the library's name for it (theta is
-# RadialModel.total_angle), or, for an overflow in the ratio check, the
-# sample of [0, D] whose power left the float range.
+# Other words an error uses for a field: the library's name for it (the
+# ratio check names a model's ray_length as its domain end D).
 FIELD_ALIASES = {
-    "D": ("diameter", "sample x"), "ray_length": ("sample x",), "theta": ("total_angle",),
+    "D": ("diameter",), "ray_length": ("D",),
     "N": ("dimension",), "p": ("exponent",), "pieces": ("piece",), "breakpoints": ("breakpoint",),
     "values": ("tabulated value",), "volumes": ("volume",),
 }

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -169,6 +170,37 @@ def test_breakpoints_take_the_left_piece(family):
     for b, left in lefts:
         assert h(b) == left
         assert h(np.array([0.5 * b, b, 2.0 * b]))[1] == left
+
+
+# Power families and the reprs of h at 0, the least subnormal, 1, each
+# breakpoint, 1e300, inf and NaN: one piece and many, flat pieces among
+# them, at the points where their evaluation could differ.
+POWER_VALUES = [
+    (ConstantDensity(2.5), ["2.5"] * 6),
+    (MonomialDensity(1.5, 2.5), ["0.0", "0.0", "1.5", "inf", "inf", "nan"]),
+    (MonomialDensity(3.0, 0.0), ["3.0"] * 6),
+    (PiecewiseMonomialDensity((1.0, 2.0), ((1.0, 1.0), (1.0, 0.0), (2.0, -1.0))),
+     ["0.0", "5e-324", "1.0", "1.0", "1.0", "2e-300", "0.0", "nan"]),
+    (SharpDensity(0.2, 1.0, 2.0),
+     ["1.1209982432795857", "1.1209982432795857", "1.2566370614359172", "1.1209982432795857",
+      "1.2566370614359173e+300", "inf", "nan"]),
+]
+
+
+def test_one_piece_and_many_evaluate_alike():
+    # A power past the float range is inf without a warning, alone or as
+    # the last of several pieces.
+    xs = np.array([1.0, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (MonomialDensity(1.0, 400.0),
+                  PiecewiseMonomialDensity((1.0,), ((1.0, 1.0), (1.0, 400.0)))):
+            assert h(1e10) == INF
+            assert h(xs).tolist() == [1.0, INF]
+        for h, values in POWER_VALUES:
+            points = [0.0, 5e-324, 1.0, *h.breakpoints(), 1e300, INF, math.nan]
+            assert [repr(float(v)) for v in h(np.array(points))] == values
+            assert [repr(h(x)) for x in points] == values
 
 
 def _family_cases():
@@ -475,7 +507,7 @@ def test_ratio_powers_outside_the_normal_range_name_the_sample():
     # make h / power overflow: x^(N-1) at the first sample with x > 0 and
     # (D - x)^(N-1) at the last with x < D (3 - 2.999 = 1e-3, so ~1e-597).
     with pytest.raises(DomainError, match=r"x\^\(N-1\) leaves the float range at N=1000\.0, "
-                                          r"sample x=0\.0017612524461839531$"):
+                                          r"sample x=0\.0017612524461839531, D=0\.9$"):
         check_mcp_density(PiecewiseMonomialDensity((0.45,), ((1.0, 1.5), (0.45 ** 0.9, 0.6))),
                           0.9, 1000.0)
     table = TabulatedDensity((1.0, 2.0, 2.999), (1.0, 1.0, 1.0))

@@ -85,7 +85,7 @@ def test_preconditions():
         disintegrate_ball(model, 1.0, math.inf)
     with pytest.raises(DomainError):
         RadialModel(0.0, ConstantDensity(1.0), 2.0, 10.0)  # theta <= 0
-    with pytest.raises(DomainError, match="total_angle"):
+    with pytest.raises(DomainError, match="theta must be positive and finite"):
         RadialModel(math.inf, ConstantDensity(1.0), 2.0, 10.0)
     with pytest.raises(DomainError):
         RadialModel(1.0, ConstantDensity(1.0), 2.0, 0.0)  # ray_length <= 0

@@ -152,7 +152,8 @@ def test_half_line_without_window_rejected():
 def test_default_half_line_window_past_the_float_range_is_refused():
     # Four cone radii at v = 1e300 and avr = 1e-300 overflow; no grid is built.
     space = sharp_space(1e-300, 1.0, 1.01)[0]
-    with pytest.raises(DomainError, match=r"target volume 1e\+300, mass 1.0"):
+    with pytest.raises(DomainError,
+                       match=r"window leaves the float range at v=1e\+300, N=1\.01, avr=1e-300$"):
         brute_force_profile(space, SearchConfig(1e300, 0.01, 64, 1))
 
 
