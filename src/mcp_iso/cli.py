@@ -22,7 +22,7 @@ from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
 from .errors import DomainError, InfeasibleSearchError
-from .numerics import as_number, as_numbers, require_count, require_number, require_numbers
+from .numerics import as_number, as_numbers, read_object, require_count
 from .profile import (
     avr_lower_bound,
     cd_lower_bound,
@@ -41,8 +41,6 @@ from .space import (
 # and OverflowError come from malformed numbers in JSON input and sweeps.
 _USAGE_ERRORS = (ValueError, TypeError, OverflowError, InfeasibleSearchError)
 
-_SEARCH_FIELDS = set("N avr volumes volume_tolerance grid_points max_components window".split())
-
 # Samples of min-dimension's search, and validate-density's default, so that
 # the printed minimal dimension passes validate-density.
 _DENSITY_GRID = 512
@@ -52,6 +50,8 @@ def _parse_sweep(text: str, log: bool) -> list[float]:
     """A single float, or 'a:b:n' for n points from a to b; an error names the text."""
     parts = text.split(":")
     if len(parts) == 1:
+        if log:
+            raise DomainError(f"a log sweep needs a:b:n, got {text!r}")
         return [as_number(text, f"sweep {text!r}")]
     if len(parts) != 3:
         raise DomainError(f"sweep must look like a:b:n, got {text!r}")
@@ -80,20 +80,40 @@ def _sweep(a: float, b: float, n: int, log: bool) -> list[float]:
     return [a, *inner, b]
 
 
-def _refuse_unknown(data, known: set[str], what: str) -> None:
-    """Refuse a field of data outside known; require_field refuses a non-object."""
-    if unknown := isinstance(data, dict) and sorted(set(data) - known):
-        raise DomainError(f"unknown {what} field {unknown[0]!r}")
-
-
 def _load_json(path: str) -> dict:
+    def refuse_repeats(pairs: list) -> dict:
+        data = {}
+        for name, value in pairs:
+            if name in data:
+                raise DomainError(f"{path}: field {name!r} is given twice in one object")
+            data[name] = value
+        return data
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=refuse_repeats)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}")
+
+
+def _of_type(kind: type, wording: str):
+    """A read_object reader that keeps a value of type kind and refuses any other."""
+    def read(value, label):
+        if not isinstance(value, kind):
+            raise DomainError(f"{label} must be {wording}, got {value!r}")
+        return value
+    return read
+
+
+def _read_volumes(volumes, label: str) -> Sequence[float]:
+    """A search config's volumes: an array of numbers, or a sweep object."""
+    if not isinstance(volumes, dict):
+        return as_numbers(volumes, label)
+    return _parse_sweep(*read_object(volumes, "the volumes sweep", (
+        ("sweep", _of_type(str, "a string a:b:n")),
+        ("log", _of_type(bool, "true or false"), False))))
 
 
 def _csv_field(value, spec: str, alone: bool) -> str:
@@ -240,40 +260,18 @@ def _cmd_sharp(args):
     return headers, row, abs(content - own_bound) <= 1e-12 * own_bound
 
 
-def _optional_number(config: dict, name: str, default):
-    """The search config's field name as require_number reads it, or default if absent."""
-    return require_number(config, name, "search config") if name in config else default
-
-
 def _cmd_search(args):
     space = space_from_dict(_load_json(args.space))
-    config = _load_json(args.config)
-    _refuse_unknown(config, _SEARCH_FIELDS, "search config")
-    N = require_number(config, "N", "search config")
+    # The fields after volumes are SearchConfig's, in its order.
+    N, avr_value, volumes, *settings = read_object(_load_json(args.config), "search config", (
+        ("N", as_number), ("avr", as_number, None), ("volumes", _read_volumes),
+        ("volume_tolerance", as_number, 1e-9), ("grid_points", None, 512),
+        ("max_components", None, 2), ("window", as_number, None)))
     # Without a known tail, avr is uncertified only for tabulated densities,
     # which a half-line space refuses; bounded spaces have avr = 0, certified.
-    avr_value = _optional_number(config, "avr", None)
     if avr_value is None:
         avr_value = avr(space, N).value
-    raw_volumes = config.get("volumes")
-    if isinstance(raw_volumes, dict) and "sweep" in raw_volumes:
-        _refuse_unknown(raw_volumes, {"sweep", "log"}, "volumes sweep")
-        if not isinstance(log := raw_volumes.get("log", False), bool):
-            raise DomainError(f"the volumes sweep field 'log' must be true or false, got {log!r}")
-        if not isinstance(sweep := raw_volumes["sweep"], str):
-            raise DomainError(f"the volumes sweep field 'sweep' must be a string a:b:n, got {sweep!r}")
-        volumes = _parse_sweep(sweep, log)
-    elif isinstance(raw_volumes, list):
-        volumes = require_numbers(config, "volumes", "search config")
-    else:
-        raise DomainError("search config needs 'volumes': a list or {'sweep': 'a:b:n'}")
-    cfg = search_mod.SearchConfig(
-        target_volume=0.0,
-        volume_tolerance=_optional_number(config, "volume_tolerance", 1e-9),
-        grid_points=config.get("grid_points", 512),
-        max_components=config.get("max_components", 2),
-        window=_optional_number(config, "window", None),
-    )
+    cfg = search_mod.SearchConfig(0.0, *settings)
     report = search_mod.certify_bound(space, N, avr_value, volumes, cfg)
     headers = ["v", "content", "bound", "margin", "best_set", "slack"]
     rows = report.rows

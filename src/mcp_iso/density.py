@@ -21,9 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (as_array, float_or_array, require_count, require_dimension,
-                       require_extent, require_field, require_increasing, require_nonnegative,
-                       require_number, require_numbers, require_positive)
+from .numerics import (as_array, as_number, as_numbers, float_or_array, read_object,
+                       require_count, require_dimension, require_extent, require_field,
+                       require_increasing, require_nonnegative, require_positive)
 from .profile import avr_lower_bound, cone_radius, log_cone_coefficient
 
 __all__ = [
@@ -305,6 +305,13 @@ class TabulatedDensity(Density):
         # Array copies for np.interp and the table's span, kept out of the dataclass fields.
         object.__setattr__(self, "_grid", np.asarray(g))
         object.__setattr__(self, "_values", np.asarray(v))
+        # np.interp forms each segment's slope; an overflowing one turns h to -inf or NaN.
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.diff(self._values) / np.diff(self._grid))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise DomainError(f"tabulated density's slope on segment {k}, "
+                              f"[{g[k]}, {g[k + 1]}], leaves the float range")
         object.__setattr__(self, "_breaks", g[1:-1])
         object.__setattr__(self, "support_start", g[0])
         object.__setattr__(self, "support_end", g[-1])
@@ -350,14 +357,15 @@ def density_from_dict(data: dict) -> Density:
     what = f"density descriptor of type '{kind}'"
     if family is PiecewiseMonomialDensity:
         piece = f"a piece of the {what}"
-        pieces = as_array(require_field(data, "pieces", what), f"{what} field 'pieces'")
-        return PiecewiseMonomialDensity(
-            require_numbers(data, "breakpoints", what),
-            tuple((require_number(p, "c", piece), require_number(p, "p", piece)) for p in pieces),
-        )
-    # The inverse of Density.to_dict: a table's two fields are arrays, all others numbers.
-    read = require_numbers if family is TabulatedDensity else require_number
-    return family(*(read(data, f.name, what) for f in fields(family)))
+        spec = (("breakpoints", as_numbers),
+                ("pieces", lambda pieces, label: tuple(
+                    read_object(p, piece, (("c", as_number), ("p", as_number)))
+                    for p in as_array(pieces, label))))
+    else:
+        # The inverse of Density.to_dict: a table's two fields are arrays, all others numbers.
+        read = as_numbers if family is TabulatedDensity else as_number
+        spec = tuple((f.name, read) for f in fields(family))
+    return family(*read_object(data, what, (("type", None), *spec))[1:])
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .density import Density, check_mcp_density, density_from_dict
 from .errors import DomainError, PreconditionError
-from .numerics import (require_dimension, require_extent, require_field, require_number,
-                       require_positive)
+from .numerics import as_number, read_object, require_dimension, require_extent, require_positive
 from .profile import avr_lower_bound, profile_mcp
 from .space import IntervalUnion, WeightedInterval, avr, minkowski_content
 
@@ -74,11 +73,9 @@ class RadialModel:
 
 
 def model_from_dict(data: dict) -> RadialModel:
-    what = "model descriptor"
-    theta = require_number(data, "theta", what)
-    weight = density_from_dict(require_field(data, "weight", what))
-    N = require_number(data, "N", what)
-    return RadialModel(theta, weight, N, require_number(data, "ray_length", what))
+    return RadialModel(*read_object(data, "model descriptor", (
+        ("theta", as_number), ("weight", lambda weight, _: density_from_dict(weight)),
+        ("N", as_number), ("ray_length", as_number))))
 
 
 def disintegrate_ball(

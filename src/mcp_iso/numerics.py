@@ -79,14 +79,26 @@ def require_field(data, name: str, what: str):
     return data[name]
 
 
-def require_number(data, name: str, what: str) -> float:
-    """require_field as a float: a JSON number, or a string float() reads, such as "inf"."""
-    return as_number(require_field(data, name, what), f"{what} field '{name}'")
+def read_object(data, what: str, fields) -> tuple:
+    """The values of the JSON object data's fields, in the order of fields.
 
-
-def require_numbers(data, name: str, what: str) -> tuple[float, ...]:
-    """require_field as a tuple of floats: a JSON array of what require_number reads."""
-    return as_numbers(require_field(data, name, what), f"{what} field '{name}'")
+    Each entry of fields is (name, read) or, for an optional field,
+    (name, read, default).  read(value, label) reads a given value, label
+    naming it as "<what> field '<name>'"; a read of None keeps it unchanged.
+    A non-object, a missing field and any field not listed are refused;
+    every error names what and the field, an unknown field first.
+    """
+    known = [name for name, *_ in fields]
+    if unknown := isinstance(data, dict) and [name for name in data if name not in known]:
+        raise DomainError(f"{what} has unknown field {unknown[0]!r}")
+    values = []
+    for name, read, *default in fields:
+        if default and isinstance(data, dict) and name not in data:
+            values.append(default[0])
+            continue
+        value = require_field(data, name, what)
+        values.append(value if read is None else read(value, f"{what} field '{name}'"))
+    return tuple(values)
 
 
 def as_number(value, label: str) -> float:

@@ -18,8 +18,8 @@ from .density import (
     density_from_dict,
 )
 from .errors import DomainError, PreconditionError
-from .numerics import (as_array, as_numbers, log_unit_ball_volume, require_dimension,
-                       require_extent, require_field, require_increasing, require_number)
+from .numerics import (as_array, as_number, as_numbers, log_unit_ball_volume, read_object,
+                       require_dimension, require_extent, require_increasing)
 from .profile import log_cone_coefficient
 
 __all__ = [
@@ -114,14 +114,12 @@ class AvrResult(NamedTuple):
 
 
 def space_from_dict(data: dict) -> WeightedInterval:
-    what = "space descriptor"
-    D = require_number(data, "D", what)
-    return WeightedInterval(D, density_from_dict(require_field(data, "density", what)))
+    return WeightedInterval(*read_object(data, "space descriptor", (
+        ("D", as_number), ("density", lambda density, _: density_from_dict(density)))))
 
 
 def interval_union_from_dict(data: dict) -> IntervalUnion:
-    intervals = as_array(require_field(data, "intervals", "set descriptor"),
-                         "set descriptor field 'intervals'")
+    intervals, = read_object(data, "set descriptor", (("intervals", as_array),))
     return IntervalUnion(tuple(as_numbers(pair, f"set descriptor interval {k}", 2)
                                for k, pair in enumerate(intervals)))
 

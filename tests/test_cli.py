@@ -258,6 +258,19 @@ def test_malformed_json_diagnostics(capsys, tmp_path):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"D": 1, "D": 2, "density": {"type": "constant", "c": 1}}', "D"),
+    ('{"D": 1, "density": {"type": "constant", "c": 1, "c": 2}}', "c"),
+], ids=["space", "nested-density"])
+def test_a_field_given_twice_is_refused(capsys, tmp_path, text, field):
+    # json.load alone keeps the last value, so the first would be dropped unread.
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "avr", "--space", str(path), "--N", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: field '{field}' is given twice in one object\n"
+
+
 def test_missing_field_diagnostics(capsys, tmp_path):
     path = write_json(tmp_path, "incomplete.json", {"D": 1.0})
     code, _, err = run(capsys, "avr", "--space", str(path), "--N", "2")
@@ -323,7 +336,20 @@ MALFORMED_DESCRIPTORS = {
                            "density descriptor must be a JSON object"),
     "sweep-log-string": (("search",), sweep_files(log="false"),
                          "the volumes sweep field 'log' must be true or false, got 'false'"),
-    "sweep-unknown-key": (("search",), sweep_files(lgo=True), "unknown volumes sweep field 'lgo'"),
+    "sweep-unknown-key": (("search",), sweep_files(lgo=True),
+                          "the volumes sweep has unknown field 'lgo'"),
+    "sweep-log-single-value": (("search",), search_files(volumes={"sweep": "0.5", "log": True}),
+                               "a log sweep needs a:b:n, got '0.5'"),
+    "profile-log-single-value": (("profile", "--N", "2", "--D", "1", "--v", "0.3", "--log"), {},
+                                 "a log sweep needs a:b:n, got '0.3'"),
+    "localize-log-single-value": (("localize", "--r", "1", "--R", "8", "--log"),
+                                  {"--model": PLANE_MODEL}, "a log sweep needs a:b:n, got '8'"),
+    "table-slope-overflow": (("validate-density", "--N", "3"),
+                             {"--space": {"D": 1, "density": {"type": "tabulated",
+                                                              "grid": [0, 1e-300, 1],
+                                                              "values": [1.7e308, 0, 1]}}},
+                             "tabulated density's slope on segment 0, [0.0, 1e-300], "
+                             "leaves the float range"),
     "search-avr-null": (("search",), search_files(avr=None),
                         "search config field 'avr' must be a number, got None"),
     "search-window-list": (("search",), search_files(window=[1]),
@@ -640,11 +666,40 @@ def _field_cases(kind):
                 yield f"{kind}.{name}={value!r} via {argv[0]}", argv, files(make(value)), names
 
 
+def _stray_field_cases(kind):
+    """(label, argv, files, what) for a field "stray" put into each descriptor
+    of one kind; what names the descriptor as its error must."""
+    validate, localize = ("validate-density", "--N", "3"), ("localize", "--r", "0.25", "--R", "1")
+    if kind in FIELD_DENSITIES:
+        what = f"density descriptor of type '{kind}'"
+        density = {**FIELD_DENSITIES[kind], "stray": 1}
+        yield kind, validate, {"--space": {**FIELD_SPACE, "density": density}}, what
+        yield kind, localize, {"--model": {**FIELD_MODEL, "weight": density}}, what
+        if kind == "piecewise_monomial":
+            pieces = [{"c": 1.0, "p": 1.0, "stray": 1}, {"c": 1.0, "p": 0.0}]
+            yield ("piece", validate, {"--space": {**FIELD_SPACE, "density": {
+                **FIELD_DENSITIES[kind], "pieces": pieces}}}, f"a piece of the {what}")
+    elif kind == "sweeps":
+        yield kind, ("search",), sweep_files(stray=1), "the volumes sweep"
+    else:
+        yield {
+            "space": (kind, validate, {"--space": {**FIELD_SPACE, "stray": 1}}, "space descriptor"),
+            "model": (kind, localize, {"--model": {**FIELD_MODEL, "stray": 1}}, "model descriptor"),
+            "config": (kind, ("search",), {"--space": SHARP_SPACE,
+                                           "--config": {**FIELD_CONFIG, "stray": 1}},
+                       "search config"),
+        }[kind]
+
+
 @pytest.mark.parametrize("kind", [*FIELD_DENSITIES, "space", "model", "config", "sweeps"])
 def test_every_malformed_field_is_named(capsys, tmp_path, kind):
     # Each refused input prints one error line that names its field, sweep or
     # descriptor, never the bare text of a Python exception; an accepted one
-    # ("inf" as D, 5 as c) may pass or fail its check.
+    # ("inf" as D, 5 as c) may pass or fail its check.  A field that no
+    # descriptor of its kind has is always refused, by name.
+    for label, argv, files, what in _stray_field_cases(kind):
+        code, out, err = run_with_files(capsys, tmp_path, argv, files)
+        assert (code, out, err) == (1, "", f"error: {what} has unknown field 'stray'\n"), label
     if kind == "sweeps":
         cases = [(f"sweep {text}", argv + (text,), files, ("sweep",))
                  for text in ("0.5:x:3", "0.1:1:2.5", "x", "1:2:3:4")

@@ -146,6 +146,21 @@ def test_tabulated_error_names_the_first_point_outside():
             call()
 
 
+def test_a_table_whose_slope_overflows_is_refused():
+    # np.interp forms the slope -1.7e308 / 1e-300 = -inf there, so h(5e-301)
+    # would be -inf although no table value is negative.
+    with pytest.raises(DomainError, match=re.escape("slope on segment 0, [0.0, 1e-300], leaves")):
+        TabulatedDensity((0.0, 1e-300, 1.0), (1.7e308, 0.0, 1.0))
+    # Scaling by 1.5 takes the slope 1.6e308 of the second segment past the float range.
+    table = TabulatedDensity((0.0, 0.5, 1.0), (1.0, 1.0, 8e307))
+    with pytest.raises(DomainError, match=re.escape("slope on segment 1, [0.5, 1.0], leaves")):
+        table.scaled(1.5)
+    # A finite slope keeps every value between the two nodes of its segment.
+    h = TabulatedDensity((0.0, 1.0, 2.0), (1.7e308, 0.0, 1.7e308))
+    xs = np.linspace(0.0, 2.0, 101)
+    assert np.all((h(xs) >= 0.0) & (h(xs) <= 1.7e308))
+
+
 def _breakpoint_cases():
     """Per power family: the density and, at each breakpoint, the value of
     the piece on its left.  The piecewise pieces disagree at each

@@ -1,7 +1,11 @@
-"""The package's public names are exactly its modules' __all__ lists."""
+"""The package's public names are exactly its modules' __all__ lists, and README's
+quick start runs on them."""
 
 import inspect
+import re
+import warnings
 from itertools import combinations
+from pathlib import Path
 
 import mcp_iso
 from mcp_iso import density, errors, localization, numerics, profile, search, space
@@ -27,3 +31,11 @@ def test_module_exports_are_disjoint_and_defined():
     for module in MODULES:
         for name in module.__all__:
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_readme_quick_start_runs_without_warnings():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(code, "README.md", "exec"), {})
