@@ -47,7 +47,8 @@ _DENSITY_GRID = 512
 
 
 def _parse_sweep(text: str, log: bool) -> list[float]:
-    """A single float, or 'a:b:n' for n points from a to b; an error names the text."""
+    """A single float, or 'a:b:n' for n points from a to b, log-spaced if
+    log (one point is a); an error names the text."""
     parts = text.split(":")
     if len(parts) == 1:
         if log:
@@ -62,16 +63,12 @@ def _parse_sweep(text: str, log: bool) -> list[float]:
         n = int(parts[2])
     except ValueError:
         n = parts[2]  # no integer: require_count refuses it
-    return _sweep(a, b, require_count(f"the point count of sweep {text!r}", n, 1), log)
-
-
-def _sweep(a: float, b: float, n: int, log: bool) -> list[float]:
-    """n >= 1 points from finite a to b, log-spaced if log."""
+    n = require_count(f"the point count of sweep {text!r}", n, 1)
+    if log and (a <= 0 or b <= 0):
+        raise DomainError("log sweeps need positive endpoints")
     if n == 1:
         return [a]
     if log:
-        if a <= 0 or b <= 0:
-            raise DomainError("log sweeps need positive endpoints")
         la, lb = math.log(a), math.log(b)
         inner = [math.exp(la + (lb - la) * k / (n - 1)) for k in range(1, n - 1)]
     else:
@@ -186,17 +183,14 @@ def _set_to_text(best_set) -> str:
 def _cmd_profile(args):
     res = profile_mcp(args.N, args.D, _parse_sweep(args.v, args.log))
     headers = ["N", "D", "v", "a", "f_at_a", "profile"]
-    # f_at_a and profile are one array, so one list is passed twice.
+    # The f_at_a and profile columns are f(a(v)), so one list is passed twice.
     f = res.profile.tolist()
     return headers, [res.N, res.D, res.v.tolist(), res.a.tolist(), f, f], True
 
 
 def _cmd_expansion(args):
-    if not (0.0 < args.v_min < args.v_max < math.inf):
-        raise DomainError(f"need 0 < --v-min < --v-max < inf, got {args.v_min} and {args.v_max}")
-    require_count("--points", args.points, 1)
     lead = expansion_leading_coefficient(args.N)
-    vs = np.array(_sweep(args.v_max, args.v_min, args.points, log=True))
+    vs = np.array(_parse_sweep(args.v, log=True))
     prof = profile_mcp(args.N, 1.0, vs).profile
     ratio = prof / vs ** ((args.N - 1.0) / args.N)
     deviation = np.abs(ratio - lead) / lead
@@ -323,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expansion", parents=[common], help="small-volume ratio table")
     p.add_argument("--N", type=float, required=True)
-    p.add_argument("--v-min", type=float, required=True, dest="v_min")
-    p.add_argument("--v-max", type=float, default=1e-2, dest="v_max")
-    p.add_argument("--points", type=int, default=13)
+    p.add_argument("--v", required=True, help="log-spaced volume sweep a:b:n")
     p.set_defaults(func=_cmd_expansion)
 
     p = sub.add_parser("validate-density", parents=[common], help="ratio-bound check")

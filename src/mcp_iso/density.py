@@ -224,7 +224,11 @@ class PiecewiseMonomialDensity(_PowerPieces):
                 raise DomainError(f"piece exponent must be finite, got {p}")
         require_nonnegative("first piece exponent", pcs[0][1])
         for b, (c0, p0), (c1, p1) in zip(bps, pcs, pcs[1:]):
-            left, right = c0 * b ** p0, c1 * b ** p1
+            with np.errstate(over="ignore"):
+                left, right = float(c0 * np.float64(b) ** p0), float(c1 * np.float64(b) ** p1)
+            if not math.isfinite(left + right):
+                raise DomainError(f"pieces leave the float range at breakpoint {b}: "
+                                  f"{left} vs {right}")
             if abs(left - right) > _CONTINUITY_RTOL * max(abs(left), abs(right), 1.0):
                 raise DomainError(f"pieces disagree at breakpoint {b}: {left} vs {right}")
         object.__setattr__(self, "_pieces", pcs)

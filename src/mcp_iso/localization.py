@@ -149,7 +149,7 @@ def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainRe
     m_e = model.ball_mass(r)
     m_plus = model.total_angle * model.radial_weight(r)
 
-    ray_content = minkowski_content(needle, IntervalUnion.of([(0.0, r)]))
+    ray_content = minkowski_content(needle, IntervalUnion([(0.0, r)]))
     needle_integral = m_ball * ray_content
 
     fraction = m_e / m_ball

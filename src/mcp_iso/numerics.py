@@ -102,11 +102,13 @@ def read_object(data, what: str, fields) -> tuple:
 
 
 def as_number(value, label: str) -> float:
-    """value as a float, or a DomainError naming it as label."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{label} must be a number, got {value!r}") from None
+    """value as a float, or a DomainError naming it as label; a bool is no number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{label} must be a number, got {value!r}")
 
 
 def as_array(values, label: str, length: int | None = None) -> list | tuple:

@@ -183,7 +183,6 @@ class ProfileResult:
     D: float
     v: float | np.ndarray
     a: float | np.ndarray
-    f_at_a: float | np.ndarray
     profile: float | np.ndarray
 
 
@@ -205,7 +204,7 @@ def profile_mcp(N: float, D: float, v) -> ProfileResult:
         a[inner] = D * a_unit
         f[inner] = _per_diameter(N, D, f_unit)
     v, a, f = map(float_or_array, (v, a, f))
-    return ProfileResult(N, D, v, a, f, f)
+    return ProfileResult(N, D, v, a, f)
 
 
 def expansion_leading_coefficient(N: float) -> float:

@@ -392,7 +392,7 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
         )
     content, endpoints = min(candidates)
     components = [(endpoints[k], endpoints[k + 1]) for k in range(0, len(endpoints), 2)]
-    return SearchOutcome(IntervalUnion.of(components), content, examined)
+    return SearchOutcome(IntervalUnion(components), content, examined)
 
 
 @dataclass(frozen=True)

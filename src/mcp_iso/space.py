@@ -43,6 +43,8 @@ _RATIO_RISE_RTOL = 1e-12
 _TAIL_MATCH_RTOL = 1e-12
 # Radius at which avr reads the volume ratio of a density without a known tail.
 _AVR_R_MAX = 1e6
+# Strip widths eps, decreasing, of minkowski_content_estimator's quotients.
+_STRIP_WIDTHS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,9 @@ class WeightedInterval:
 class IntervalUnion:
     """A finite disjoint union of closed subintervals, sorted and non-touching.
 
-    Overlapping or touching inputs are merged at construction; degenerate
-    components [s, s] are allowed.
+    Built from any sequence of (s, t) pairs, IntervalUnion(()) being the
+    empty set.  Overlapping or touching inputs are merged at construction;
+    degenerate components [s, s] are allowed.
     """
 
     components: tuple[tuple[float, float], ...]
@@ -95,14 +98,6 @@ class IntervalUnion:
             else:
                 merged.append((s, t))
         object.__setattr__(self, "components", tuple(merged))
-
-    @classmethod
-    def of(cls, intervals: Sequence[Sequence[float]]) -> "IntervalUnion":
-        return cls(tuple((float(s), float(t)) for s, t in intervals))
-
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(())
 
     def to_dict(self) -> dict:
         return {"intervals": [[s, t] for s, t in self.components]}
@@ -157,24 +152,17 @@ def minkowski_content(space: WeightedInterval, subset: IntervalUnion) -> float:
 
 
 def minkowski_content_estimator(
-    space: WeightedInterval,
-    subset: IntervalUnion,
-    eps_sequence: Sequence[float] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8),
+    space: WeightedInterval, subset: IntervalUnion
 ) -> tuple[float, tuple[float, ...]]:
-    """Finite-eps difference quotients (m(E^eps) - m(E)) / eps.
+    """Difference quotients (m(E^eps) - m(E)) / eps at each of _STRIP_WIDTHS.
 
     Returns the quotient at the smallest eps together with the full sequence
     for convergence inspection.  m(E^eps) - m(E) is accumulated as exact
     boundary-strip integrals, so there is no large-sum cancellation.
     """
     _require_subset(space, subset)
-    eps_list = [float(e) for e in eps_sequence]
-    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
-        raise PreconditionError("eps_sequence must be non-empty, positive and finite")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise PreconditionError("eps_sequence must be strictly decreasing")
     comps = subset.components
-    eps_max = eps_list[0]
+    eps_max = _STRIP_WIDTHS[0]
     for (s0, t0), (s1, t1) in zip(comps, comps[1:]):
         if s1 - t0 <= 2.0 * eps_max:
             raise PreconditionError(
@@ -182,7 +170,7 @@ def minkowski_content_estimator(
                 f"and [{s1}, {t1}]"
             )
     quotients = []
-    for eps in eps_list:
+    for eps in _STRIP_WIDTHS:
         growth = 0.0
         for s, t in comps:
             left = max(0.0, s - eps)
@@ -200,7 +188,7 @@ def volume_ratio(space: WeightedInterval, N: float, r: float) -> float:
     N = require_dimension(N)
     if not (0.0 < r <= space.D):
         raise DomainError(f"radius must lie in (0, D], got {r}")
-    m = measure(space, IntervalUnion.of([(0.0, r)]))
+    m = measure(space, IntervalUnion([(0.0, r)]))
     # As a difference of logs: omega_N and r^N can each leave the float range.
     return math.exp(math.log(m) - log_unit_ball_volume(N) - N * math.log(r)) if m > 0.0 else 0.0
 
@@ -244,5 +232,5 @@ def sharp_space(avr_value: float, mass: float, N: float) -> tuple[WeightedInterv
     """The extremal half-line space and the set attaining the volume-growth
     boundary bound with equality: E = [0, x_star]."""
     h = SharpDensity(avr_value, mass, N)
-    return WeightedInterval(math.inf, h), IntervalUnion.of([(0.0, h.x_star)])
+    return WeightedInterval(math.inf, h), IntervalUnion([(0.0, h.x_star)])
 

@@ -98,7 +98,7 @@ def test_sharp_fails_on_a_misplaced_set(capsys, monkeypatch, scale):
     # 5e-3 relative at N = 2: the row is printed and the check exits 2.
     def misplaced(avr, mass, N):
         space, _ = mcp_iso.sharp_space(avr, mass, N)
-        return space, mcp_iso.IntervalUnion.of([(0.0, scale * space.h.x_star)])
+        return space, mcp_iso.IntervalUnion([(0.0, scale * space.h.x_star)])
 
     monkeypatch.setattr(cli, "sharp_space", misplaced)
     code, out, _ = run(capsys, "sharp", "--avr", "0.2", "--mass", "1", "--N", "2")
@@ -133,9 +133,7 @@ def test_validate_density_exit_codes(capsys, tmp_path):
 
 
 def test_expansion_table(capsys):
-    code, out, _ = run(
-        capsys, "expansion", "--N", "2", "--v-min", "1e-6", "--points", "5"
-    )
+    code, out, _ = run(capsys, "expansion", "--N", "2", "--v", "1e-2:1e-6:5")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "v,profile,ratio,leading,rel_deviation"
@@ -143,8 +141,8 @@ def test_expansion_table(capsys):
     assert float(last[0]) == pytest.approx(1e-6)
     assert float(last[4]) < 1e-2  # close to the leading coefficient already
 
-    # One point is v_max alone.
-    code, out, _ = run(capsys, "expansion", "--N", "2", "--v-min", "1e-6", "--points", "1")
+    # One point is the sweep's first endpoint alone.
+    code, out, _ = run(capsys, "expansion", "--N", "2", "--v", "1e-2:1e-6:1")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2
@@ -304,6 +302,10 @@ POWER_400_SPACE = {"D": 1e10, "density": POWER_400}
 PIECEWISE_400_SPACE = {"D": 1e10, "density": {
     "type": "piecewise_monomial", "breakpoints": [1],
     "pieces": [{"c": 1, "p": 1}, {"c": 1, "p": 400}]}}
+# Both pieces x^2 leave the float range at the breakpoint 1e200.
+BREAKPOINT_OVERFLOW_SPACE = {"D": 3, "density": {
+    "type": "piecewise_monomial", "breakpoints": [1e200],
+    "pieces": [{"c": 1, "p": 2}, {"c": 1, "p": 2}]}}
 # A table whose trapezoid 0.5 * (1e308 + 1e308) overflows inside it.
 PEAK_TABLE_SPACE = {"D": 2, "density": {"type": "tabulated", "grid": [0, 1, 2],
                                         "values": [1, 1e308, 1]}}
@@ -429,8 +431,8 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2:-3"), {}),
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:0.2:0"), {}),
         (("profile", "--N", "2", "--D", "1", "--v", "0:0.2:3", "--log"), {}),
-        (("expansion", "--N", "2", "--v-min", "0.1", "--v-max", "0.01"), {}),
-        (("expansion", "--N", "2", "--v-min", "1e-8", "--points", "0"), {}),
+        (("expansion", "--N", "2", "--v", "0:0.01:3"), {}),
+        (("expansion", "--N", "2", "--v", "1e-2:1e-8:0"), {}),
         (("bounds", "--N", "2", "--avr", "nan", "--mass", "1"), {}),
         (("bounds", "--N", "2", "--avr", "1", "--mass", "nan"), {}),
         (("avr", "--N", "2"), {"--space": None}),
@@ -450,7 +452,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("search",), search_files(volumes=["inf"])),
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:1e400:3"), {}),
         (("profile", "--N", "2", "--D", "1", "--v", "0.1:1e400:3", "--log"), {}),
-        (("expansion", "--N", "2", "--v-min", "0.01", "--v-max", "inf"), {}),
+        (("expansion", "--N", "2", "--v", "inf:0.01:3"), {}),
         (("localize", "--r", "1", "--R", "8:inf:3"), {"--model": PLANE_MODEL}),
         (("search",), search_files(volumes={"sweep": "0.1:1e400:3"})),
         (("bounds", "--N", "2", "--avr", "inf", "--mass", "1"), {}),
@@ -482,6 +484,9 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("profile", "--N", "2", "--D", "1e-320", "--v", "0.3"), {}),
         (("validate-density", "--N", "1000"), {"--space": PIECEWISE_SPACE}),
         (("validate-density", "--N", "1000"), {"--space": SHORT_PIECEWISE_SPACE}),
+        (("profile", "--N", "2", "--D", "1", "--v=0:1:1", "--log"), {}),
+        (("localize", "--r", "1", "--R", "8:0:1", "--log"), {"--model": PLANE_MODEL}),
+        (("expansion", "--N", "2", "--v", "1e-2:-1:1"), {}),
         *((argv, files) for argv, files, _ in MALFORMED_DESCRIPTORS.values()),
     ],
     ids=[
@@ -502,7 +507,8 @@ def run_with_files(capsys, tmp_path, argv, files):
         "search-window-overflow", "search-window-radius-overflow",
         "search-slack-overflow-positive-margin",
         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
-        "ratio-power-overflow", "ratio-power-underflow",
+        "ratio-power-overflow", "ratio-power-underflow", "log-sweep-one-point-zero",
+        "localize-log-sweep-one-point-zero-end", "expansion-one-point-negative-endpoint",
         *MALFORMED_DESCRIPTORS,
     ],
 )
@@ -521,8 +527,8 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "'1e-3:1e400:3'"),
         (("localize", "--r", "1", "--R", "8:inf:3"), {"--model": PLANE_MODEL}, "'8:inf:3'"),
         (("search",), search_files(volumes={"sweep": "nan:1:3"}), "'nan:1:3'"),
-        (("expansion", "--N", "2", "--v-min", "0.01", "--v-max", "inf"), {}, "--v-max"),
-        (("expansion", "--N", "2", "--v-min", "1e-8", "--points", "0"), {}, "--points"),
+        (("expansion", "--N", "2", "--v", "inf:0.01:3"), {}, "'inf:0.01:3'"),
+        (("expansion", "--N", "2", "--v", "1e-2:1e-8:0"), {}, "'1e-2:1e-8:0'"),
         (("search",), search_files(volumes=["inf"]), "volume must be non-negative and finite"),
         (("localize", "--r", "1", "--R", "8:400:3"), {"--model": INFINITE_ANGLE_MODEL},
          "theta must be positive and finite, got inf"),
@@ -579,6 +585,8 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
                        "--config": {"N": 2, "volumes": [0.5], "grid_points": 64,
                                     "max_components": 1}},
          "the prefix measures on the window [0, 2.0] leave the float range"),
+        (("validate-density", "--N", "3"), {"--space": BREAKPOINT_OVERFLOW_SPACE},
+         "pieces leave the float range at breakpoint 1e+200"),
         *MALFORMED_DESCRIPTORS.values(),
     ],
     ids=["sweep", "log-sweep", "localize-sweep", "search-sweep", "expansion",
@@ -592,7 +600,7 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "ratio-power-overflow", "ratio-power-underflow", "ratio-h-overflow",
          "ratio-piecewise-h-overflow", "min-dimension-h-overflow",
          "min-dimension-piecewise-h-overflow", "localize-weight-overflow",
-         "search-trapezoid-overflow",
+         "search-trapezoid-overflow", "piecewise-breakpoint-overflow",
          *MALFORMED_DESCRIPTORS],
 )
 def test_non_finite_input_is_named_in_the_error(capsys, tmp_path, argv, files, named):
@@ -630,12 +638,14 @@ FIELD_ALIASES = {
     "values": ("tabulated value",), "volumes": ("volume",),
 }
 PYTHON_TEXTS = ("is not iterable", "could not convert", "invalid literal", "object is not",
-                "argument must be", "not supported between", "too large to convert", "to unpack")
+                "argument must be", "not supported between", "too large to convert", "to unpack",
+                "Numerical result out of range")
 
 
 def _field_cases(kind):
-    """(label, argv, files, names) for each malformed value in each field of
-    one descriptor; names are the words one of which the error must use."""
+    """(label, argv, files, names, refused) for each malformed value in each
+    field of one descriptor; names are the words one of which the error must
+    use, and refused says the value must be refused: a bool, in any field."""
     validate, localize = ("validate-density", "--N", "3"), ("localize", "--r", "0.25", "--R", "1")
     if kind in FIELD_DENSITIES:
         density = FIELD_DENSITIES[kind]
@@ -663,7 +673,8 @@ def _field_cases(kind):
         for argv, files, what in contexts:
             names = (*words, *(a for w in words for a in FIELD_ALIASES.get(w, ())), *what)
             for value in MALFORMED_VALUES:
-                yield f"{kind}.{name}={value!r} via {argv[0]}", argv, files(make(value)), names
+                yield (f"{kind}.{name}={value!r} via {argv[0]}", argv, files(make(value)), names,
+                       value is True)
 
 
 def _stray_field_cases(kind):
@@ -695,25 +706,28 @@ def _stray_field_cases(kind):
 def test_every_malformed_field_is_named(capsys, tmp_path, kind):
     # Each refused input prints one error line that names its field, sweep or
     # descriptor, never the bare text of a Python exception; an accepted one
-    # ("inf" as D, 5 as c) may pass or fail its check.  A field that no
-    # descriptor of its kind has is always refused, by name.
+    # ("inf" as D, 5 as c) may pass or fail its check.  A bool is no number,
+    # so true in any field is always refused, by name, and so is a field that
+    # no descriptor of its kind has.
     for label, argv, files, what in _stray_field_cases(kind):
         code, out, err = run_with_files(capsys, tmp_path, argv, files)
         assert (code, out, err) == (1, "", f"error: {what} has unknown field 'stray'\n"), label
     if kind == "sweeps":
-        cases = [(f"sweep {text}", argv + (text,), files, ("sweep",))
+        cases = [(f"sweep {text}", argv + (text,), files, ("sweep",), False)
                  for text in ("0.5:x:3", "0.1:1:2.5", "x", "1:2:3:4")
                  for argv, files in ((("profile", "--N", "2", "--D", "1", "--v"), {}),
                                      (("localize", "--r", "1", "--R"), {"--model": PLANE_MODEL}))]
         cases += [(f"volumes sweep {text}", ("search",), search_files(volumes={"sweep": text}),
-                   ("sweep",)) for text in ("0.5:x:3", "0.1:1:2.5", "x")]
+                   ("sweep",), False) for text in ("0.5:x:3", "0.1:1:2.5", "x")]
     else:
         cases = list(_field_cases(kind))
     unnamed = []
-    for label, argv, files, names in cases:
+    for label, argv, files, names, refused in cases:
         code, out, err = run_with_files(capsys, tmp_path, argv, files)
         assert code in (0, 1, 2), label
         if code != 1:
+            if refused:
+                unnamed.append(f"{label}: exit {code}")
             continue
         line = err.removesuffix("\n")
         named = any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", line) for n in names)

@@ -99,7 +99,7 @@ COMMANDS = {
     "profile-ends": ["profile", "--N", "4", "--D", "2", "--v", "0:1:2"],
     "profile-overflow": ["profile", "--N", "30", "--D", "1", "--v", "0.5"],
     "profile-bad-v": ["profile", "--N", "2", "--D", "1", "--v", "1.5"],
-    "expansion": ["expansion", "--N", "3", "--v-min", "1e-6", "--points", "4"],
+    "expansion": ["expansion", "--N", "3", "--v", "1e-2:1e-6:4"],
     "bounds": ["bounds", "--N", "2.5", "--avr", "0.3", "--mass", "1.7"],
     # Gamma(N/2 + 1) overflows past N ~ 341; the bounds are formed from logs.
     "bounds-400": ["bounds", "--N", "400", "--avr", "1", "--mass", "1"],

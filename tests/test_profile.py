@@ -131,7 +131,6 @@ def test_invert_v_small_volume_asymptotics():
 def test_profile_golden_and_endpoints():
     res = profile_mcp(2.0, 1.0, 0.5)
     assert res.profile == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert res.profile == res.f_at_a
     assert res.a == pytest.approx(0.5, abs=1e-11)
     assert profile_mcp(3.0, 2.0, 0.0).profile == 0.0
     assert profile_mcp(3.0, 2.0, 1.0).profile == 0.0

@@ -63,7 +63,7 @@ def test_tie_breaking_prefers_left_anchored_set():
 def test_zero_volume_returns_empty_set():
     cfg = SearchConfig(target_volume=0.0, volume_tolerance=1e-6, grid_points=64)
     out = brute_force_profile(unit_space(), cfg)
-    assert out.best_set == IntervalUnion.empty()
+    assert out.best_set == IntervalUnion(())
     assert out.content == 0.0
 
 
