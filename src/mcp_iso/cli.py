@@ -65,7 +65,7 @@ def _parse_sweep(text: str, log: bool) -> list[float]:
         n = parts[2]  # no integer: require_count refuses it
     n = require_count(f"the point count of sweep {text!r}", n, 1)
     if log and (a <= 0 or b <= 0):
-        raise DomainError("log sweeps need positive endpoints")
+        raise DomainError(f"log sweeps need positive endpoints, got {text!r}")
     if n == 1:
         return [a]
     if log:
@@ -227,8 +227,8 @@ def _cmd_min_dimension(args):
 
 def _cmd_avr(args):
     space = space_from_dict(_load_json(args.space))
-    value, certified = avr(space, args.N)
-    return ["avr", "certified"], [value, certified], True
+    # The certified column keeps the printed format; every avr is exact, so it reads True.
+    return ["avr", "certified"], [avr(space, args.N), True], True
 
 
 def _cmd_bounds(args):
@@ -261,10 +261,9 @@ def _cmd_search(args):
         ("N", as_number), ("avr", as_number, None), ("volumes", _read_volumes),
         ("volume_tolerance", as_number, 1e-9), ("grid_points", None, 512),
         ("max_components", None, 2), ("window", as_number, None)))
-    # Without a known tail, avr is uncertified only for tabulated densities,
-    # which a half-line space refuses; bounded spaces have avr = 0, certified.
+    # avr needs a tail only on the half line, which refuses tabulated densities.
     if avr_value is None:
-        avr_value = avr(space, N).value
+        avr_value = avr(space, N)
     cfg = search_mod.SearchConfig(0.0, *settings)
     report = search_mod.certify_bound(space, N, avr_value, volumes, cfg)
     headers = ["v", "content", "bound", "margin", "best_set", "slack"]

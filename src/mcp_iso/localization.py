@@ -63,14 +63,6 @@ class RadialModel:
         """The model collapsed to [0, ray_length] with density theta * w."""
         return WeightedInterval(self.ray_length, self.radial_weight.scaled(self.total_angle))
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.total_angle,
-            "weight": self.radial_weight.to_dict(),
-            "N": self.N,
-            "ray_length": "inf" if math.isinf(self.ray_length) else self.ray_length,
-        }
-
 
 def model_from_dict(data: dict) -> RadialModel:
     return RadialModel(*read_object(data, "model descriptor", (
@@ -120,7 +112,6 @@ class ChainReport:
     scaled_profile_bound: float
     avr_bound: float
     avr_value: float
-    avr_certified: bool
     residual: float
 
     def ordered(self) -> bool:
@@ -155,7 +146,7 @@ def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainRe
     fraction = m_e / m_ball
     scaled = m_ball * profile_mcp(model.N, R + 2.0 * r, fraction).profile
 
-    avr_value, certified = avr(model.one_dimensional_space(), model.N)
+    avr_value = avr(model.one_dimensional_space(), model.N)
     bound = avr_lower_bound(model.N, avr_value, m_e) if math.isfinite(avr_value) else math.inf
 
     return ChainReport(
@@ -166,6 +157,5 @@ def dimension_reduction_chain(model: RadialModel, r: float, R: float) -> ChainRe
         scaled_profile_bound=scaled,
         avr_bound=bound,
         avr_value=avr_value,
-        avr_certified=certified,
         residual=abs(m_e - m_ball * needle.h.integral(0.0, r)),
     )

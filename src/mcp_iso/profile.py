@@ -34,7 +34,6 @@ __all__ = [
     "ProfileResult",
     "eval_f",
     "eval_v",
-    "invert_v",
     "profile_mcp",
     "expansion_leading_coefficient",
     "avr_lower_bound",
@@ -165,14 +164,6 @@ def eval_v(N: float, D: float, a):
     right = ai > 0.5
     v = np.exp(_left_terms(N, np.log(np.where(right, 1.0 - ai, ai)))[0])
     return float_or_array(np.where(right, 1.0 - v, v))
-
-
-def invert_v(N: float, D: float, v):
-    """The parameter a with eval_v(N, D, a) = v, for v in (0, 1)."""
-    N = require_dimension(N)
-    D = require_positive("diameter", D)
-    v = _inputs("v", v, 0.0, 1.0, closed=False)
-    return float_or_array(D * _unit_solve(N, v)[0])
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import SharpDensity
 from .errors import DomainError, InfeasibleSearchError
 from .numerics import require_count, require_dimension, require_nonnegative, require_positive
 from .profile import avr_lower_bound, cone_radius
@@ -87,11 +86,6 @@ def _resolve_window(space: WeightedInterval, cfg: SearchConfig) -> float:
         return float(cfg.window)
     if math.isfinite(space.D):
         return space.D
-    h = space.h
-    if isinstance(h, SharpDensity):
-        # The extremal set and its competitors at comparable volume live well
-        # inside four switch radii.
-        return _cone_window(h.N, h.avr, max(cfg.target_volume, h.mass))
     raise DomainError("searching a half-line space requires an explicit window")
 
 
@@ -308,7 +302,8 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     """Minimal boundary content over grid-aligned interval unions.
 
     Searches all unions of <= max_components intervals with endpoints on
-    the grid whose measure lies within volume_tolerance of target_volume.
+    the grid whose measure lies within volume_tolerance of target_volume;
+    the grid spans [0, window], and a half-line space needs a window.
     Ties in content go to the lexicographically smallest endpoint list;
     sets_examined counts the candidates that met the volume window.
 

@@ -21,7 +21,6 @@ from mcp_iso import (
     WeightedInterval,
     avr,
     avr_lower_bound,
-    bishop_gromov_check,
     certify_bound,
     check_mcp_density,
     dimension_reduction_chain,
@@ -30,7 +29,6 @@ from mcp_iso import (
     expansion_leading_coefficient,
     minimal_mcp_dimension,
     minkowski_content,
-    minkowski_content_estimator,
     profile_mcp,
     sharp_space,
     unit_ball_volume,
@@ -148,8 +146,8 @@ def test_criterion_4_sharpness_grid():
                 if check_mcp_density(space.h, INF, n).status != "pass_exact":
                     ok = False
                     detail.append(f"density check failed at ({a}, {v}, {n})")
-                value, certified = avr(space, n)
-                if not certified or abs(value - a) > 1e-12 * max(1.0, a):
+                value = avr(space, n)
+                if abs(value - a) > 1e-12 * max(1.0, a):
                     ok = False
                     detail.append(f"avr {value} != {a}")
     report("criterion 4: sharp space grid", ok, "; ".join(detail[:3]))
@@ -251,6 +249,10 @@ def test_criterion_7_localization_chain():
 
 
 def test_criterion_8_volume_ratio_monotonicity():
+    # m([0, r)) / (omega_N r^N) may rise between sampled radii by rounding
+    # (1e-12 relative) only.
+    from test_space import first_ratio_rise
+
     radii = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     corpus = [
         (WeightedInterval(INF, MonomialDensity(1.0, 0.5)), 1.5),
@@ -270,14 +272,12 @@ def test_criterion_8_volume_ratio_monotonicity():
     details = []
     for space, n in corpus:
         assert check_mcp_density(space.h, INF, n).passed
-        verdict = bishop_gromov_check(space, n, radii)
-        if not verdict.passed:
+        if first_ratio_rise(space, n, radii) is not None:
             ok = False
             details.append(f"monotonicity failed for {space.h.kind} at N={n}")
     grid = np.linspace(0.0, 3.2, 400)
     exp_space = WeightedInterval(3.2, TabulatedDensity(tuple(grid), tuple(np.exp(grid))))
-    verdict = bishop_gromov_check(exp_space, 2.0, radii)
-    if verdict.status != "fail":
+    if first_ratio_rise(exp_space, 2.0, radii) is None:
         ok = False
         details.append("e^x unexpectedly passed")
     report("criterion 8: volume-ratio monotonicity", ok, "; ".join(details[:3]))
@@ -285,7 +285,7 @@ def test_criterion_8_volume_ratio_monotonicity():
 
 
 def test_criterion_9_content_oracle_consistency():
-    from test_space import random_corpus
+    from test_space import minkowski_content_estimator, random_corpus
 
     worst = 0.0
     for space, subset in random_corpus(100):

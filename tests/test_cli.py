@@ -397,6 +397,11 @@ MALFORMED_DESCRIPTORS = {
                           "sweep 'x' must be a number, got 'x'"),
     "search-sweep-endpoint-text": (("search",), search_files(volumes={"sweep": "0.5:x:3"}),
                                    "sweep '0.5:x:3' element 1 must be a number, got 'x'"),
+    "log-sweep-nonpositive": (("profile", "--N", "2", "--D", "1", "--v", "0:1:3", "--log"), {},
+                              "log sweeps need positive endpoints, got '0:1:3'"),
+    "search-log-sweep-nonpositive": (("search",),
+                                     search_files(volumes={"sweep": "0:1:3", "log": True}),
+                                     "log sweeps need positive endpoints, got '0:1:3'"),
     "search-avr-huge-integer": (("search",), search_files(avr=10 ** 400),
                                 "search config field 'avr' must be a number, got 1000"),
     "breakpoints-null": (("validate-density", "--N", "3"),

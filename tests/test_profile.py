@@ -13,7 +13,6 @@ from mcp_iso import (
     eval_f,
     eval_v,
     expansion_leading_coefficient,
-    invert_v,
     log_unit_ball_volume,
     profile_mcp,
     unit_ball_volume,
@@ -69,8 +68,8 @@ def test_eval_f_domain_errors():
     [
         lambda: eval_v(2.0, 1.0, 0.0),
         lambda: eval_v(2.0, 1.0, 1.0),
-        lambda: invert_v(2.0, 1.0, 0.0),
-        lambda: invert_v(2.0, 1.0, 1.0),
+        lambda: profile_mcp(2.0, 1.0, -1e-300),
+        lambda: profile_mcp(2.0, 1.0, 1.0 + 2.0 ** -52),
         lambda: avr_lower_bound(2.0, -1.0, 1.0),
         lambda: avr_lower_bound(2.0, 1.0, -1.0),
         lambda: avr_lower_bound(2.0, math.nan, 1.0),
@@ -85,7 +84,7 @@ def test_eval_f_domain_errors():
         lambda: cd_lower_bound(2.0, 1.0, math.inf),
     ],
     ids=[
-        "v-a-zero", "v-a-at-D", "invert-v-zero", "invert-v-one",
+        "v-a-zero", "v-a-at-D", "profile-v-negative", "profile-v-above-one",
         "avr-bound-avr-negative", "avr-bound-mass-negative",
         "avr-bound-avr-nan", "avr-bound-mass-nan",
         "cd-bound-avr-negative", "cd-bound-mass-negative",
@@ -112,20 +111,20 @@ def test_eval_v_strictly_increasing(n, d):
 
 
 def test_invert_v_golden_and_roundtrip():
-    assert invert_v(2.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert profile_mcp(2.0, 1.0, 0.5).a == pytest.approx(0.5, abs=1e-12)
     for n in (1.5, 2.0, 3.0, 5.0):
         for d in (1.0, 2.0):
             for frac in (0.1, 0.35, 0.6, 0.9):
                 a = frac * d
                 v = eval_v(n, d, a)
-                assert invert_v(n, d, v) == pytest.approx(a, abs=2e-12 * max(1.0, d))
+                assert profile_mcp(n, d, v).a == pytest.approx(a, abs=2e-12 * max(1.0, d))
 
 
 def test_invert_v_small_volume_asymptotics():
     # a(v) ~ (v / N)^(1/N)
     for n in (1.5, 2.0, 3.0):
         v = 1e-10
-        assert invert_v(n, 1.0, v) == pytest.approx((v / n) ** (1.0 / n), rel=1e-3)
+        assert profile_mcp(n, 1.0, v).a == pytest.approx((v / n) ** (1.0 / n), rel=1e-3)
 
 
 def test_profile_golden_and_endpoints():
@@ -258,7 +257,7 @@ def test_newton_start_leaves_at_most_four_steps(monkeypatch):
 def test_closed_forms_take_arrays():
     vs = np.array([[1e-12, 0.2], [0.5, 0.9]])
     for n in (1.5, 5.0):
-        a = invert_v(n, 3.0, vs)
+        a = profile_mcp(n, 3.0, vs).a
         assert a.shape == vs.shape
         np.testing.assert_allclose(eval_v(n, 3.0, a), vs, rtol=1e-13)
         np.testing.assert_allclose(eval_f(n, 3.0, a), profile_mcp(n, 3.0, vs).profile, rtol=1e-12)

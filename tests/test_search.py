@@ -32,8 +32,8 @@ from mcp_iso.search import (
     _join,
     _pair_window,
     _prune,
+    _cone_window,
     _range_min,
-    _resolve_window,
     _window,
 )
 
@@ -71,7 +71,8 @@ def test_sharp_space_attains_bound_with_two_components_allowed():
     a, mass, n = 1.0 / (2.0 * math.pi), 1.0, 2.0
     space, extremal = sharp_space(a, mass, n)
     cfg = SearchConfig(
-        target_volume=mass, volume_tolerance=0.01, grid_points=512, max_components=2
+        target_volume=mass, volume_tolerance=0.01, grid_points=512, max_components=2,
+        window=4 * space.h.x_star,
     )
     out = brute_force_profile(space, cfg)
     bound = avr_lower_bound(n, a, mass)
@@ -137,8 +138,9 @@ def test_infeasible_window_raises():
 def test_half_line_without_window_rejected():
     space = WeightedInterval(math.inf, MonomialDensity(1.0, 1.0))
     cfg = SearchConfig(target_volume=0.5, volume_tolerance=0.01, grid_points=64)
-    with pytest.raises(DomainError):
-        brute_force_profile(space, cfg)
+    for half_line in (space, sharp_space(0.2, 1.0, 2.0)[0]):
+        with pytest.raises(DomainError, match="requires an explicit window"):
+            brute_force_profile(half_line, cfg)
     # explicit window unblocks it
     out = brute_force_profile(
         space,
@@ -147,14 +149,6 @@ def test_half_line_without_window_rejected():
         ),
     )
     assert out.content > 0.0
-
-
-def test_default_half_line_window_past_the_float_range_is_refused():
-    # Four cone radii at v = 1e300 and avr = 1e-300 overflow; no grid is built.
-    space = sharp_space(1e-300, 1.0, 1.01)[0]
-    with pytest.raises(DomainError,
-                       match=r"window leaves the float range at v=1e\+300, N=1\.01, avr=1e-300$"):
-        brute_force_profile(space, SearchConfig(1e300, 0.01, 64, 1))
 
 
 def test_config_validation():
@@ -973,13 +967,11 @@ def test_two_component_partner_tie_goes_to_least_second_interval(n, v, tau, x):
 
 @pytest.mark.parametrize("n, avr, mass", [(1.01, 1e-6, 3.0), (2.0, 0.2, 1.0), (7.5, 40.0, 1e-4)])
 def test_cone_constants_have_one_home(n, avr, mass):
-    # The sharp density and the half-line window take the model cone's
-    # constants from profile.py, bit for bit.
+    # The sharp density and certify_bound's half-line window take the model
+    # cone's constants from profile.py, bit for bit.
     h = SharpDensity(avr, mass, n)
     assert h.tail_coefficient == math.exp(log_cone_coefficient(n, avr))
     assert h.x_star == cone_radius(n, avr, mass)
     assert h.level == avr_lower_bound(n, avr, mass)
-    space = WeightedInterval(math.inf, h)
     for v in (0.5 * mass, 2.0 * mass):
-        window = _resolve_window(space, SearchConfig(target_volume=v, volume_tolerance=1e-9))
-        assert window == 4.0 * cone_radius(n, avr, max(v, mass))
+        assert _cone_window(n, avr, v) == 4.0 * cone_radius(n, avr, v)
