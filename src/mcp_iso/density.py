@@ -45,7 +45,8 @@ PASS_SAMPLED = "pass_sampled"
 FAIL = "fail"
 
 # Relative disagreement of neighbouring pieces at a breakpoint that counts
-# as rounding, not a jump.
+# as rounding, not a jump, at any scale (relative to at least _NORMAL_MIN,
+# so that subnormal rounding passes).
 _CONTINUITY_RTOL = 1e-12
 # A generous bound on how far rounding moves a quotient comparison
 # h1/w1 vs h0/w0 from its cross-multiplied form h1*w0 vs h0*w1, as a share
@@ -229,7 +230,7 @@ class PiecewiseMonomialDensity(_PowerPieces):
             if not math.isfinite(left + right):
                 raise DomainError(f"pieces leave the float range at breakpoint {b}: "
                                   f"{left} vs {right}")
-            if abs(left - right) > _CONTINUITY_RTOL * max(abs(left), abs(right), 1.0):
+            if abs(left - right) > _CONTINUITY_RTOL * max(abs(left), abs(right), _NORMAL_MIN):
                 raise DomainError(f"pieces disagree at breakpoint {b}: {left} vs {right}")
         object.__setattr__(self, "_pieces", pcs)
         object.__setattr__(self, "_breaks", bps)

@@ -10,8 +10,12 @@ reports the discretization slack of each row.
 Each searched grid is built once: _grid_and_measures keeps the last grid,
 so certify_bound and the brute_force_profile it calls per volume share it.
 
-Single intervals are not listed: a sparse-table range minimum of the
-right-end weights over each start's window gives its least content.
+Single intervals are not listed: a range minimum of the right-end weights
+over each start's window gives its least content.  Where those weights
+never fall before the last grid point (a density that never falls, as on
+the needles of a space with Euclidean volume growth), each minimum sits at
+the window's first slot or at the last point, in O(n); else a sparse table
+gives it in O(n log w).
 
 Two-component unions are counted and searched in two parts, over one
 measure order of the M candidate intervals and one pair window, both built
@@ -131,10 +135,18 @@ def _grid_and_measures(space: WeightedInterval, window: float, grid_points: int)
 
 
 def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(values[lo[q]:hi[q]]) for every q, each range non-empty, from a
-    sparse table: row k holds the minima of the runs of 2**k values."""
-    k = np.frexp(hi - lo)[1].astype(np.intp) - 1  # floor(log2(hi - lo))
+    """min(values[lo[q]:hi[q]]) for every q, each range non-empty.
+
+    Where the values never fall before the last one, a range's minimum is
+    its first value, or the last value where that is less and the range
+    reaches it: O(n).  Else (a fall, or a NaN, before the last value) from
+    a sparse table whose row k holds the minima of the runs of 2**k values:
+    O(n log w), w the widest range."""
     width = len(values)
+    if np.all(values[1:-1] >= values[:-2]):
+        least = values[lo]
+        return np.minimum(least, values[-1], out=least, where=hi == width)
+    k = np.frexp(hi - lo)[1].astype(np.intp) - 1  # floor(log2(hi - lo))
     table = np.empty((int(k.max()) + 1, width), dtype=values.dtype)
     table[0] = values
     for row in range(1, len(table)):
@@ -244,8 +256,8 @@ def _join(iv_i, iv_j, iv_c, slot_iv, bounds, search):
     slots of equal higher bits stay contiguous).  A range follows the side
     of bit b of j1; where that bit is 0, the range's ones all have i2 > j1
     (their higher bits equal those of j1), so they are counted and, if
-    search, a sparse-table range minimum over the ones' ranks gives their
-    least rank.  What is left after bit 0 has i2 = j1, no partner.
+    search, _range_min over the ones' ranks gives their least rank.  What
+    is left after bit 0 has i2 = j1, no partner.
     """
     total = len(iv_i)
     # Counts and ranks are at most total; int32 halves their traffic, and
@@ -312,8 +324,9 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
     set [a, b] as [[0.0, 0.0], [a, b]], and sets_examined counts such
     unions.
 
-    One component costs O(n log w) time and memory on n grid points, w the
-    widest window of one start, with no interval arrays.  Two components
+    One component costs O(n) time and memory on n grid points where the
+    right-end weights never fall before the last point, else O(n log w), w
+    the widest window of one start, with no interval arrays.  Two components
     list the M intervals light enough for a pair, for the join only: a
     wavelet matrix over their starts, O(M log M * log n) numpy work in two
     parts that share one measure order and pair window; the best pair is

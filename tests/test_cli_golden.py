@@ -147,8 +147,9 @@ COMMANDS = {
 FORMATS = ("csv", "json")
 
 
-def transcript(tmp_path, name, fmt):
-    """Exit code of one golden command in one output format; stdout is captured."""
+def command_argv(tmp_path, name, fmt):
+    """argv of one golden command in one output format, its fixtures written
+    to tmp_path."""
     argv = []
     for arg in COMMANDS[name]:
         if arg.startswith("@"):
@@ -156,7 +157,12 @@ def transcript(tmp_path, name, fmt):
             path.write_text(json.dumps(FIXTURES[arg[1:]]))
             arg = str(path)
         argv.append(arg)
-    return main(argv + ["--format", fmt])
+    return argv + ["--format", fmt]
+
+
+def transcript(tmp_path, name, fmt):
+    """Exit code of one golden command in one output format; stdout is captured."""
+    return main(command_argv(tmp_path, name, fmt))
 
 
 def golden():

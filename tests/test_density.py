@@ -23,6 +23,8 @@ from mcp_iso import (
     minimal_mcp_dimension,
 )
 
+from corpus import envelope_corpus
+
 INF = math.inf
 
 
@@ -43,9 +45,12 @@ def test_constructor_validation():
         MonomialDensity(-1.0, 1.0)
     with pytest.raises(DomainError):
         PiecewiseMonomialDensity((1.0,), (((1.0, 0.0)),))  # piece count mismatch
-    with pytest.raises(DomainError):
-        # discontinuous at the breakpoint: 1 vs 2
-        PiecewiseMonomialDensity((1.0,), ((1.0, 0.0), (2.0, 0.0)))
+    for scale in (1.0, 1e-20, 1e-300, 1e300):
+        # discontinuous at the breakpoint: 1 vs 2, at any scale
+        with pytest.raises(DomainError, match="pieces disagree at breakpoint 1.0"):
+            PiecewiseMonomialDensity((1.0,), ((scale, 0.0), (2.0 * scale, 0.0)))
+        # a relative mismatch of 1e-13 counts as rounding at any scale
+        PiecewiseMonomialDensity((1.0,), ((scale, 0.0), ((1.0 + 1e-13) * scale, 0.0)))
     with pytest.raises(DomainError):
         PiecewiseMonomialDensity((-1.0,), ((1.0, 0.0), (1.0, 0.0)))  # breakpoint <= 0
     with pytest.raises(DomainError):
@@ -401,6 +406,15 @@ def test_piecewise_tail_exponent_is_checked_exactly():
     assert verdict.witness.x1 > 1.0
 
 
+# Min and max envelopes of monomials, each labelled with its exact minimal N.
+ENVELOPES = envelope_corpus(24, seed=37)
+
+
+def test_envelope_corpus_passes_at_its_label():
+    for member in ENVELOPES:
+        assert check_mcp_density(member.h, member.D, member.label).passed, member
+
+
 def test_sharp_density_checks():
     h = SharpDensity(0.3, 2.0, 3.0)
     assert check_mcp_density(h, INF, 3.0).status == "pass_exact"
@@ -485,6 +499,12 @@ def test_minimal_dimension_exp_tabulated():
 def test_minimal_dimension_sharp_is_its_parameter():
     n_star = minimal_mcp_dimension(SharpDensity(0.2, 1.0, 2.5), INF, 1.5, 10.0)
     assert n_star == pytest.approx(2.5, abs=1e-6)
+
+
+def test_envelope_corpus_minimal_dimension_is_at_most_its_label():
+    # One-way: the sampled check may pass a little below the exact label.
+    for member in ENVELOPES:
+        assert minimal_mcp_dimension(member.h, member.D, 1.01, 10.0) <= member.label + 1e-12, member
 
 
 # x^2 on [0, 3], sampled on a grid: its minimal dimension is 3, so a

@@ -37,6 +37,8 @@ from mcp_iso.search import (
     _window,
 )
 
+from corpus import envelope_corpus
+
 
 def unit_space():
     return WeightedInterval(1.0, ConstantDensity(1.0))
@@ -377,18 +379,23 @@ KNIFE_EDGES = ((0.15, 0.05), (0.19, 0.01), (0.1, 0.1), (0.3, 0.1))
 PAIR_KNIFE_EDGES = ((1.0, 11, 0.28, 0.02), (1.0, 11, 0.4, 0.1), (0.6, 7, 0.1, 0.1))
 
 
+def _narrow_case(space, window, rng, max_points=31):
+    """(space, window, n, v, tau): a seeded grid of 8 to max_points points
+    and a volume window a few measure gaps wide."""
+    n = int(rng.integers(8, max_points + 1))
+    prefix = _grid_and_measures(space, window, n)[1]
+    v = rng.uniform(0.05, 0.7) * prefix[-1]
+    tau = rng.uniform(0.3, 2.0) * float(np.diff(prefix).max())
+    return space, window, n, v, tau
+
+
 def _naive_cases(family, components):
     """Four seeded (space, window, n, v, tau), for the constant family the
     knife-edge windows of one and of two components, and for one component
     two wide windows (tau up to 0.4 of the mass, up to 300 grid points)."""
     rng = np.random.default_rng([components, len(family)])
     for _ in range(4):
-        space, window = _random_space(family, rng)
-        n = int(rng.integers(8, 32))
-        prefix = _grid_and_measures(space, window, n)[1]
-        v = rng.uniform(0.05, 0.7) * prefix[-1]
-        tau = rng.uniform(0.3, 2.0) * float(np.diff(prefix).max())
-        yield space, window, n, v, tau
+        yield _narrow_case(*_random_space(family, rng), rng)
     if family == "constant":
         for v, tau in KNIFE_EDGES:
             yield WeightedInterval(1.0, ConstantDensity(1.0)), 1.0, 11, v, tau
@@ -452,6 +459,16 @@ def test_search_matches_naive_enumeration(family, components):
         _assert_matches_naive(*case, components)
 
 
+@pytest.mark.parametrize("components", [1, 2])
+def test_envelope_corpus_matches_naive_enumeration(components):
+    # Densities that never fall, so the right weights take _range_min's
+    # table-free branch.
+    rng = np.random.default_rng(components)
+    for member in envelope_corpus(16, seed=38):
+        case = _narrow_case(WeightedInterval(member.D, member.h), member.window, rng, 24)
+        _assert_matches_naive(*case, components)
+
+
 def _assert_matches_naive(space, window, n, v, tau, components=1):
     """The search against naive_search: the count, the endpoints and the
     content, bit for bit, or InfeasibleSearchError (then None) where no set
@@ -477,13 +494,18 @@ def test_range_min_matches_naive_min():
     for width in (1, 2, 3, 7, 8, 9, 64, 100):
         # Few distinct values, so minima tie, and +inf among them.
         values = rng.choice([0.5, 1.0, 2.0, math.inf], width)
+        rising = np.sort(values)  # ties and +inf: no table
+        falling_last = np.append(rising[1:], 0.25)  # only the last value falls: no table
+        falls_once = rising.copy()  # from width 3, one fall in the middle: the table
+        falls_once[width // 2] = 0.25
         lo = rng.integers(0, width, 50)
         hi = rng.integers(lo + 1, width + 1)
         # Every range width from 1 to the full length, so every row of the table.
         lo = np.concatenate([lo, np.zeros(width, dtype=lo.dtype)])
         hi = np.concatenate([hi, np.arange(1, width + 1)])
-        expected = [min(values[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
-        assert _range_min(values, lo, hi).tolist() == expected
+        for run in (values, rising, falling_last, falls_once):
+            expected = [min(run[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
+            assert _range_min(run, lo, hi).tolist() == expected
 
 
 def test_rounding_tie_in_one_row_goes_to_the_least_end():
