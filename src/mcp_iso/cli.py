@@ -21,7 +21,7 @@ import numpy as np
 from . import localization as loc
 from . import search as search_mod
 from .density import check_mcp_density, minimal_mcp_dimension
-from .errors import DomainError, InfeasibleSearchError
+from .errors import DomainError
 from .numerics import as_number, as_numbers, read_object, require_count
 from .profile import (
     avr_lower_bound,
@@ -37,9 +37,9 @@ from .space import (
     space_from_dict,
 )
 
-# DomainError, PreconditionError and BracketError are ValueErrors; TypeError
-# and OverflowError come from malformed numbers in JSON input and sweeps.
-_USAGE_ERRORS = (ValueError, TypeError, OverflowError, InfeasibleSearchError)
+# Every refusal is a DomainError, a ValueError; TypeError and OverflowError
+# come from malformed numbers in JSON input and sweeps.
+_USAGE_ERRORS = (ValueError, TypeError, OverflowError)
 
 # Samples of min-dimension's search, and validate-density's default, so that
 # the printed minimal dimension passes validate-density.

@@ -74,7 +74,10 @@ class Density:
 
     h(x) and h.integral(s, t) take a float or a numpy array (x, respectively
     t with a scalar s): a float gives a float, an array an array of its shape
-    (numerics.float_or_array).  Families implement both on arrays, _eval and _integral.
+    (numerics.float_or_array).  Each family defines four methods: _eval(xs)
+    and _integral(s, t) on arrays, scaled(factor), the weight times a
+    positive constant, and tail(), (c, p) with h(x) = c * x^p for all large
+    x, or None.
     """
 
     kind: str = "abstract"
@@ -87,20 +90,6 @@ class Density:
         t = np.asarray(t, dtype=float)
         return float_or_array(self._integral(float(s), np.atleast_1d(t)).reshape(t.shape))
 
-    def _eval(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _integral(self, s: float, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "Density":
-        """The weight multiplied by a positive constant."""
-        raise NotImplementedError
-
-    def tail(self) -> Optional[tuple[float, float]]:
-        """(c, p) such that h(x) = c * x^p for all large x, or None."""
-        raise NotImplementedError
-
     def breakpoints(self) -> tuple[float, ...]:
         """Interior junction points (sampling grids must include these)."""
         return self._breaks
@@ -109,12 +98,6 @@ class Density:
     _breaks: tuple[float, ...] = ()
     support_start: float = 0.0
     support_end: float = math.inf
-
-    def to_dict(self) -> dict:
-        """JSON form: the family's type, then its dataclass fields in order,
-        tuples as lists; density_from_dict reads it back."""
-        data = {"type": self.kind} | {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
 
 
 class _PowerPieces(Density):
@@ -149,15 +132,16 @@ class _PowerPieces(Density):
                 part = c * np.log(b / a)
             else:
                 # a ** q by the routine that raises b, so an empty part (b = a)
-                # is exactly 0; a part whose a ** q overflows has no finite value.
+                # is exactly 0, also where a ** q overflows (NaN where t is).
                 with np.errstate(over="ignore"):
                     a_q = (np.array([a]) ** q)[0]
-                if a_q == math.inf:
+                if a_q == math.inf and (b > a).any():
                     raise DomainError(
                         f"{self!r}: the integral of its piece x^{p:g} from x = {a:g} "
                         "leaves the float range"
                     )
-                part = c * (b ** q - a_q) / q
+                part = (c * (b ** q - a_q) / q if a_q < math.inf
+                        else np.where(b == a, 0.0, np.nan))
             total = part if total is None else total + part
         return total
 
@@ -240,13 +224,6 @@ class PiecewiseMonomialDensity(_PowerPieces):
             self.break_values, tuple((c * factor, p) for c, p in self.pieces)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "piecewise_monomial",
-            "breakpoints": list(self.break_values),
-            "pieces": [{"c": c, "p": p} for c, p in self.pieces],
-        }
-
 
 @dataclass(frozen=True)
 class SharpDensity(_PowerPieces):
@@ -287,6 +264,10 @@ class SharpDensity(_PowerPieces):
         # Scaling stays in the family: both avr and mass pick up the factor
         # while the switch point is unchanged.
         return SharpDensity(self.avr * factor, self.mass * factor, self.N)
+
+    def to_dict(self) -> dict:
+        """The JSON form that density_from_dict reads back."""
+        return {"type": self.kind, "avr": self.avr, "mass": self.mass, "N": self.N}
 
 
 @dataclass(frozen=True)
@@ -367,7 +348,7 @@ def density_from_dict(data: dict) -> Density:
                     read_object(p, piece, (("c", as_number), ("p", as_number)))
                     for p in as_array(pieces, label))))
     else:
-        # The inverse of Density.to_dict: a table's two fields are arrays, all others numbers.
+        # The dataclass fields in order: a table's two are arrays, all others numbers.
         read = as_numbers if family is TabulatedDensity else as_number
         spec = tuple((f.name, read) for f in fields(family))
     return family(*read_object(data, what, (("type", None), *spec))[1:])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density, check_mcp_density, density_from_dict
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .numerics import as_number, read_object, require_dimension, require_extent, require_positive
 from .profile import avr_lower_bound, profile_mcp
 from .space import IntervalUnion, WeightedInterval, avr, minkowski_content
@@ -84,9 +84,9 @@ def disintegrate_ball(
     if not (0.0 < r and math.isfinite(R) and R > 0.0):
         raise DomainError(f"need finite positive radii, got r={r}, R={R}")
     if r > R / 4.0:
-        raise PreconditionError(f"decomposition requires r <= R/4, got r={r}, R={R}")
+        raise DomainError(f"decomposition requires r <= R/4, got r={r}, R={R}")
     if R > model.ray_length:
-        raise PreconditionError(f"R={R} exceeds the ray length {model.ray_length}")
+        raise DomainError(f"R={R} exceeds the ray length {model.ray_length}")
     with np.errstate(over="ignore"):
         ray_mass = model.radial_weight.integral(0.0, R)
     if not (0.0 < ray_mass < math.inf and 1.0 / ray_mass < math.inf):

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, DomainError, PreconditionError
+from .errors import DomainError
 
 __all__ = [
     "log_unit_ball_volume",
@@ -171,11 +171,11 @@ def invert_monotone(
     values = [g(x) for x in samples]
     for u, v in zip(values, values[1:]):
         if v < u - _INVERT_TOL:
-            raise PreconditionError("function is not increasing on the sampled grid")
+            raise DomainError("function is not increasing on the sampled grid")
 
     glo, ghi = values[0], values[-1]
     if target < glo - _INVERT_TOL or target > ghi + _INVERT_TOL:
-        raise BracketError(
+        raise DomainError(
             f"target {target} outside bracket [g(lo), g(hi)] = [{glo}, {ghi}]"
         )
     if target <= glo:

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleSearchError
+from .errors import DomainError
 from .numerics import require_count, require_dimension, require_nonnegative, require_positive
 from .profile import avr_lower_bound, cone_radius
 from .space import IntervalUnion, WeightedInterval
@@ -394,7 +394,7 @@ def brute_force_profile(space: WeightedInterval, cfg: SearchConfig) -> SearchOut
             candidates.append((float(c[k]), tuple(float(xs[e]) for e in ends_k)))
 
     if not candidates:
-        raise InfeasibleSearchError(
+        raise DomainError(
             f"no grid-aligned candidate has measure within {tau} of {v}; "
             "refine the grid or widen the volume tolerance"
         )

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 from .density import Density, SharpDensity, density_from_dict
 from .errors import DomainError
-from .numerics import (as_array, as_number, as_numbers, read_object, require_dimension,
-                       require_extent)
+from .numerics import as_number, read_object, require_dimension, require_extent
 from .profile import log_cone_coefficient
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "avr",
     "sharp_space",
     "space_from_dict",
-    "interval_union_from_dict",
 ]
 
 # Relative distance of a tail exponent from N - 1 at which avr takes it as N - 1.
@@ -81,12 +79,6 @@ class IntervalUnion:
 def space_from_dict(data: dict) -> WeightedInterval:
     return WeightedInterval(*read_object(data, "space descriptor", (
         ("D", as_number), ("density", lambda density, _: density_from_dict(density)))))
-
-
-def interval_union_from_dict(data: dict) -> IntervalUnion:
-    intervals, = read_object(data, "set descriptor", (("intervals", as_array),))
-    return IntervalUnion(tuple(as_numbers(pair, f"set descriptor interval {k}", 2)
-                               for k, pair in enumerate(intervals)))
 
 
 def _require_subset(space: WeightedInterval, subset: IntervalUnion) -> None:

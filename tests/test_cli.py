@@ -15,6 +15,9 @@ import mcp_iso
 from mcp_iso import cli
 from mcp_iso.cli import main
 
+import reference
+from test_cli_reference import printed_rows, row_errors
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -119,6 +122,19 @@ def test_sharp_out_of_float_range_is_one_error_line(capsys, avr, N):
     (line,) = err.splitlines()
     assert line.startswith("error: sharp density at N = ")
     assert f"N = {float(N):g}, avr = {float(avr):g}" in line
+
+
+def test_sharp_at_N_400_prints_its_row(capsys):
+    # The tail piece's x^400 overflows from x_star on, but the set [0, x_star]
+    # holds only an empty part of it, which counts 0: the row is printed, and
+    # each cell matches its 50-digit reference.
+    argv = ["sharp", "--avr", "1", "--mass", "1e40", "--N", "400"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    (ref,) = reference.rows(argv, {})
+    assert float(ref["bound"]) == pytest.approx(1.65134518599763e39, rel=1e-14)
+    assert float(ref["x_star"]) == pytest.approx(6.05566909014162, rel=1e-14)
+    assert row_errors(printed_rows(out, "csv"), [ref]) == []
 
 
 def test_validate_density_exit_codes(capsys, tmp_path):
@@ -476,7 +492,6 @@ def run_with_files(capsys, tmp_path, argv, files):
         (("bounds", "--N", "2", "--avr", "1e308", "--mass", "1e308"), {}),
         (("bounds", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
         (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {}),
-        (("sharp", "--avr", "1", "--mass", "1e40", "--N", "400"), {}),
         (("search",), search_files(avr=1e-300)),
         (("search",), {"--space": CONE_SPACE,
                        "--config": {"N": 2, "volumes": [1e300], "avr": 1}}),
@@ -508,7 +523,7 @@ def run_with_files(capsys, tmp_path, argv, files):
         "avr-r-max", "search-unknown-field", "localize-theta-inf",
         "localize-ray-mass-zero", "localize-ray-mass-subnormal", "localize-ray-mass-inf",
         "localize-quotient-mass-inf", "localize-quotient-mass-zero", "bounds-overflow", "bounds-lgamma-overflow", "sharp-lgamma-overflow",
-        "sharp-tail-integral-overflow", "search-slack-overflow", "search-cone-slack-overflow",
+        "search-slack-overflow", "search-cone-slack-overflow",
         "search-window-overflow", "search-window-radius-overflow",
         "search-slack-overflow-positive-margin",
         "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",
@@ -553,9 +568,6 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "lgamma(N/2 + 1) overflows at N = 1e+308"),
         (("sharp", "--N", "1e308", "--avr", "1", "--mass", "1"), {},
          "lgamma(N/2 + 1) overflows at N = 1e+308"),
-        (("sharp", "--avr", "1", "--mass", "1e40", "--N", "400"), {},
-         "SharpDensity(avr=1.0, mass=1e+40, N=400.0): the integral of its piece x^399 "
-         "from x = 6.05567 leaves the float range"),
         (("search",), search_files(avr=1e-300), "at v=0.5, N=2.0, avr=1e-300"),
         (("search",), {"--space": CONE_SPACE, "--config": {"N": 2, "volumes": [1e300], "avr": 1}},
          "the slack gap * max h = "),
@@ -598,7 +610,7 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, files):
          "expansion-points", "search-volume", "localize-theta", "localize-ray-mass-zero",
          "localize-ray-mass-subnormal", "localize-ray-mass-inf", "localize-quotient-mass-inf",
          "localize-quotient-mass-zero", "bounds-overflow",
-         "bounds-lgamma-overflow", "sharp-lgamma-overflow", "sharp-tail-integral-overflow",
+         "bounds-lgamma-overflow", "sharp-lgamma-overflow",
          "search-slack-overflow", "search-cone-slack-overflow", "search-window-overflow",
          "search-window-radius-overflow", "search-slack-overflow-positive-margin",
          "search-prefix-overflow", "search-1c-prefix-overflow", "profile-overflow",

@@ -23,7 +23,7 @@ from mcp_iso import (
     minimal_mcp_dimension,
 )
 
-from corpus import envelope_corpus
+from corpus import envelope_corpus, power_corpus, product_corpus
 
 INF = math.inf
 
@@ -300,7 +300,22 @@ def test_sharp_flat_part_is_level_times_x():
         assert np.array_equal(h.integral(0.0, xs), h.level * xs)
 
 
-# The JSON form of each density of test_json_round_trip, byte for byte.
+def test_an_empty_part_is_zero_where_its_power_overflows():
+    # At N = 400 the tail piece's x^400 overflows from x_star on.  Its part
+    # of an integral up to x_star is empty and counts 0 (NaN stays NaN); a
+    # part that is not empty leaves the float range and is refused.
+    h = SharpDensity(1.0, 1e40, 400.0)
+    xs = np.array([0.0, 0.5 * h.x_star, h.x_star, math.nan])
+    np.testing.assert_array_equal(h.integral(0.0, xs), h.level * xs)
+    assert h.integral(h.x_star, h.x_star) == 0.0
+    message = ("SharpDensity(avr=1.0, mass=1e+40, N=400.0): the integral of its piece x^399 "
+               "from x = 6.05567 leaves the float range")
+    with pytest.raises(DomainError, match=re.escape(message)):
+        h.integral(0.0, [h.x_star, 2.0 * h.x_star])
+
+
+# The JSON form of each density of test_json_round_trip, byte for byte.  Only
+# the sharp density is written back (the density cell of mcp-iso sharp).
 JSON_FORMS = {
     "constant": '{"type": "constant", "c": 2.0}',
     "monomial": '{"type": "monomial", "c": 0.7, "p": 1.5}',
@@ -322,7 +337,8 @@ JSON_FORMS = {
     ],
 )
 def test_json_round_trip(h):
-    assert json.dumps(h.to_dict()) == JSON_FORMS[h.kind]
+    if isinstance(h, SharpDensity):
+        assert json.dumps(h.to_dict()) == JSON_FORMS[h.kind]
     assert density_from_dict(json.loads(JSON_FORMS[h.kind])) == h
 
 
@@ -406,8 +422,10 @@ def test_piecewise_tail_exponent_is_checked_exactly():
     assert verdict.witness.x1 > 1.0
 
 
-# Min and max envelopes of monomials, each labelled with its exact minimal N.
+# Min and max envelopes of monomials, their powers and their pairwise
+# products, each labelled with its exact minimal N.
 ENVELOPES = envelope_corpus(24, seed=37)
+ENVELOPES += power_corpus(ENVELOPES, seed=37) + product_corpus(ENVELOPES)
 
 
 def test_envelope_corpus_passes_at_its_label():

@@ -8,7 +8,6 @@ from mcp_iso import (
     ConstantDensity,
     DomainError,
     MonomialDensity,
-    PreconditionError,
     RadialModel,
     avr_lower_bound,
     check_mcp_density,
@@ -76,11 +75,11 @@ def test_residual_is_the_decomposition_defect(p, theta, radii):
 
 def test_preconditions():
     model = plane_model()
-    with pytest.raises(PreconditionError):
-        disintegrate_ball(model, 2.0, 4.0)  # r > R/4
+    with pytest.raises(DomainError, match="decomposition requires r <= R/4"):
+        disintegrate_ball(model, 2.0, 4.0)
     bounded = RadialModel(1.0, ConstantDensity(1.0), 2.0, 10.0)
-    with pytest.raises(PreconditionError):
-        disintegrate_ball(bounded, 1.0, 12.0)  # R beyond the rays
+    with pytest.raises(DomainError, match="R=12.0 exceeds the ray length 10.0"):
+        disintegrate_ball(bounded, 1.0, 12.0)
     with pytest.raises(DomainError):
         disintegrate_ball(model, 1.0, math.inf)
     with pytest.raises(DomainError):

@@ -10,7 +10,6 @@ import pytest
 from mcp_iso import (
     ConstantDensity,
     DomainError,
-    InfeasibleSearchError,
     IntervalUnion,
     MonomialDensity,
     PiecewiseMonomialDensity,
@@ -37,7 +36,10 @@ from mcp_iso.search import (
     _window,
 )
 
-from corpus import envelope_corpus
+from corpus import envelope_corpus, power_corpus, product_corpus
+
+# The refusal of a search whose window no candidate set meets.
+INFEASIBLE = "no grid-aligned candidate has measure within"
 
 
 def unit_space():
@@ -133,7 +135,7 @@ def test_search_is_deterministic():
 
 def test_infeasible_window_raises():
     cfg = SearchConfig(target_volume=0.315, volume_tolerance=1e-9, grid_points=8)
-    with pytest.raises(InfeasibleSearchError):
+    with pytest.raises(DomainError, match=INFEASIBLE):
         brute_force_profile(unit_space(), cfg)
 
 
@@ -464,21 +466,22 @@ def test_envelope_corpus_matches_naive_enumeration(components):
     # Densities that never fall, so the right weights take _range_min's
     # table-free branch.
     rng = np.random.default_rng(components)
-    for member in envelope_corpus(16, seed=38):
+    envelopes = envelope_corpus(16, seed=38)
+    for member in envelopes + power_corpus(envelopes, seed=38) + product_corpus(envelopes):
         case = _narrow_case(WeightedInterval(member.D, member.h), member.window, rng, 24)
         _assert_matches_naive(*case, components)
 
 
 def _assert_matches_naive(space, window, n, v, tau, components=1):
     """The search against naive_search: the count, the endpoints and the
-    content, bit for bit, or InfeasibleSearchError (then None) where no set
+    content, bit for bit, or the INFEASIBLE refusal (then None) where no set
     meets the window."""
     xs, prefix, left_w, right_w = _grid_and_measures(space, window, n)
     cfg = SearchConfig(target_volume=v, volume_tolerance=tau, grid_points=n,
                        max_components=components, window=window)
     best, count = naive_search(prefix, left_w, right_w, v, tau, components)
     if best is None:
-        with pytest.raises(InfeasibleSearchError):
+        with pytest.raises(DomainError, match=INFEASIBLE):
             brute_force_profile(space, cfg)
         return None
     out = brute_force_profile(space, cfg)
@@ -763,7 +766,7 @@ def _assert_join_matches(space, window, n, v, tau):
     cfg = SearchConfig(target_volume=v, volume_tolerance=tau, grid_points=n,
                        max_components=2, window=window)
     if best is None:
-        with pytest.raises(InfeasibleSearchError):
+        with pytest.raises(DomainError, match=INFEASIBLE):
             brute_force_profile(space, cfg)
         return None
     out = brute_force_profile(space, cfg)

@@ -2,7 +2,6 @@
 
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -14,14 +13,12 @@ from mcp_iso import (
     IntervalUnion,
     MonomialDensity,
     PiecewiseMonomialDensity,
-    PreconditionError,
     SharpDensity,
     TabulatedDensity,
     WeightedInterval,
     avr,
     avr_lower_bound,
     check_mcp_density,
-    interval_union_from_dict,
     measure,
     minkowski_content,
     sharp_space,
@@ -52,11 +49,6 @@ def test_interval_union_normalization():
     assert IntervalUnion([(0.3, 0.3)]).components == ((0.3, 0.3),)
     with pytest.raises(DomainError):
         IntervalUnion([(1.0, 0.5)])
-
-
-def test_interval_union_json():
-    u = IntervalUnion([(0.1, 0.2), (0.5, 0.9)])
-    assert interval_union_from_dict({"intervals": [[0.5, 0.9], [0.1, 0.2]]}) == u
 
 
 # ------------------------------------------------------------------- measures
@@ -129,7 +121,7 @@ def minkowski_content_estimator(space, subset):
     eps_max = STRIP_WIDTHS[0]
     for (s0, t0), (s1, t1) in zip(comps, comps[1:]):
         if s1 - t0 <= 2.0 * eps_max:
-            raise PreconditionError(
+            raise DomainError(
                 f"eps = {eps_max} merges the neighbourhoods of [{s0}, {t0}] "
                 f"and [{s1}, {t1}]"
             )
@@ -170,7 +162,7 @@ def test_estimator_matches_content_sharp_extremal():
 def test_estimator_preconditions():
     space = unit_space()
     close = IntervalUnion([(0.2, 0.4), (0.4005, 0.6)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="eps = 0.001 merges the neighbourhoods"):
         minkowski_content_estimator(space, close)
 
 
@@ -259,10 +251,6 @@ class _BumpPlusLinear(Density):
 
     def tail(self):
         return None
-
-    def to_dict(self):
-        return {"type": "test_bump"}
-
 
 def test_avr_of_half_line_density_without_tail_is_refused():
     space = WeightedInterval(INF, _BumpPlusLinear())
@@ -367,20 +355,6 @@ def test_space_json_round_trip():
     assert space_from_dict({"D": "inf", "density": sharp}) == sharp_space(0.2, 1.0, 2.0)[0]
 
 
-@pytest.mark.parametrize(
-    "intervals, named",
-    [
-        ([[0.0, None]], "set descriptor interval 0 element 1 must be a number, got None"),
-        ([[0.0, 1.0], [2.0]], "set descriptor interval 1 must be an array of 2 numbers, got [2.0]"),
-        ([[0.0, 1.0], "x"], "set descriptor interval 1 must be an array of 2 numbers, got 'x'"),
-        ({"s": 0.0}, "set descriptor field 'intervals' must be an array, got {'s': 0.0}"),
-    ],
-)
-def test_interval_union_from_dict_names_the_element(intervals, named):
-    with pytest.raises(DomainError, match=re.escape(named)):
-        interval_union_from_dict({"intervals": intervals})
-
-
 def test_space_validation():
     with pytest.raises(DomainError):
         WeightedInterval(INF, TabulatedDensity((0.0, 1.0), (1.0, 1.0)))
@@ -394,5 +368,3 @@ def test_space_validation():
         WeightedInterval(0.0, ConstantDensity(1.0))
     with pytest.raises(DomainError):
         IntervalUnion([(0.0, INF)])
-    with pytest.raises(DomainError):
-        interval_union_from_dict({"components": [[0.0, 1.0]]})
