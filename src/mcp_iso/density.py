@@ -126,7 +126,9 @@ class _PowerPieces(Density):
             a = max(s, lo)
             b = np.maximum(t if hi == math.inf else np.minimum(t, hi), a)
             q = p + 1.0
-            if p == 0.0:
+            if a == math.inf:  # s = inf: the part is empty, b = a, or NaN where t is
+                part = np.where(b == a, 0.0, np.nan)
+            elif p == 0.0:
                 part = c * (b - a)
             elif q == 0.0:  # only after the first piece, where a >= lo > 0
                 part = c * np.log(b / a)

@@ -4,8 +4,10 @@ The search covers every union of at most max_components grid-aligned
 closed intervals whose measure falls inside the volume window, and reports
 the one of minimal boundary content.  One helper, _window, decides that
 window exactly, for single intervals and pairs alike, as a naive
-enumeration would.  It makes no claim below grid resolution; certify_bound
-reports the discretization slack of each row.
+enumeration would; the ends of its windows come from one stable merge per
+end (_merge_rank), in O(n), not from binary search.  It makes no claim
+below grid resolution; certify_bound reports the discretization slack of
+each row.
 
 Each searched grid is built once: _grid_and_measures keeps the last grid,
 so certify_bound and the brute_force_profile it calls per volume share it.
@@ -156,20 +158,43 @@ def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.minimum(flat[at + lo], flat[at + hi - (1 << k)])
 
 
+def _merge_rank(x, keys, side):
+    """np.searchsorted(x, keys, side) for the ascending x and the monotone
+    keys, from one stable merge: O(len(x) + len(keys)).
+
+    A stable argsort of two sorted runs merges them.  On the left side the
+    keys come first, so a key sorts before the values equal to it; on the
+    right side after them.  The keys keep their order, so the one at rank k
+    among them has k keys before it in the merge and the rest are values.
+    Descending keys are merged reversed and their ranks reversed back."""
+    flip = keys[0] > keys[-1]
+    if flip:
+        keys = keys[::-1]
+    if side == "left":
+        merged = np.argsort(np.concatenate((keys, x)), kind="stable")
+        at = np.flatnonzero(merged < len(keys))
+    else:
+        merged = np.argsort(np.concatenate((x, keys)), kind="stable")
+        at = np.flatnonzero(merged >= len(x))
+    at -= np.arange(len(keys))
+    return at[::-1] if flip else at
+
+
 def _window(x, a, v, tau):
     """For each offset in the monotone array a, the slot range [lo, hi) of
     the k with v - tau <= fl(a + x[k]) <= v + tau in the ascending array x,
     as the rows (lo, hi) of one array; lo <= hi, as fl(v - tau) <= fl(v + tau).
 
-    The searches run on keys widened past the rounding of a + x[k], so each
-    end starts at or outside its exact place.  fl(a + x[k]) is monotone in
-    x[k], so an end moves inward, one distinct value at a time, only while
-    the exact test fails; few queries sit that close to an end."""
+    Each end is the rank of a key widened past the rounding of a + x[k]
+    among x, from one stable merge (_merge_rank), so it starts at or
+    outside its exact place.  fl(a + x[k]) is monotone in x[k], so an end
+    moves inward, one distinct value at a time, only while the exact test
+    fails; few queries sit that close to an end."""
     ends = np.abs([x[0], x[-1], a[0], a[-1]])  # |x| and |a| peak at their ends
     widen = 16.0 * np.finfo(float).eps * (ends[:2].max() + ends[2:].max() + abs(v) + tau)
     bounds = np.empty((2, len(a)), dtype=np.intp)
-    bounds[0] = np.searchsorted(x, v - tau - widen - a, side="left")
-    bounds[1] = np.searchsorted(x, v + tau + widen - a, side="right")
+    bounds[0] = _merge_rank(x, v - tau - widen - a, side="left")
+    bounds[1] = _merge_rank(x, v + tau + widen - a, side="right")
     lo, hi = bounds
     # x_ext[len(x)] = inf and x_ext[-1] = -inf stand for the slots past
     # either end, which end the moves.

@@ -314,6 +314,39 @@ def test_an_empty_part_is_zero_where_its_power_overflows():
         h.integral(0.0, [h.x_star, 2.0 * h.x_star])
 
 
+@pytest.mark.parametrize("h", [
+    ConstantDensity(2.0),
+    MonomialDensity(1.0, 1.0),
+    MonomialDensity(0.5, 2.5),
+    PiecewiseMonomialDensity((1.0,), ((1.0, 0.0), (1.0, 2.0))),
+    PiecewiseMonomialDensity((1.0,), ((1.0, 1.0), (1.0, -1.0))),  # a log piece
+    PiecewiseMonomialDensity((1.0, 2.0), ((1.0, 2.0), (1.0, -1.0), (0.5, 0.0))),
+    PiecewiseMonomialDensity((1.0,), ((1.0, 1.0), (1.0, -3.0))),
+    SharpDensity(1.0, 2.0, 3.0),
+    SharpDensity(1.0, 1e40, 400.0),
+])
+def test_an_empty_part_at_infinity_is_zero(h):
+    # [inf, inf] is empty on flat, log and power pieces alike: 0, and NaN
+    # only where t is NaN, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert h.integral(math.inf, math.inf) == 0.0
+        got = h.integral(math.inf, [math.inf, math.nan])
+    assert got[0] == 0.0 and math.isnan(got[1])
+
+
+def test_finite_integrals_keep_their_closed_forms():
+    # Finite s never reaches the empty part at infinity: flat and power
+    # parts keep their bits.
+    xs = np.array([0.0, 0.25, 1.0, 3.5, 1e6])
+    h = ConstantDensity(2.0)
+    assert np.array_equal(h.integral(0.5, xs), 2.0 * (np.maximum(xs, 0.5) - 0.5))
+    h = MonomialDensity(0.5, 2.5)
+    expected = 0.5 * (np.maximum(xs, 0.5) ** 3.5 - np.array([0.5]) ** 3.5) / 3.5
+    assert np.array_equal(h.integral(0.5, xs), expected)
+    assert h.integral(0.5, 0.5) == 0.0
+
+
 # The JSON form of each density of test_json_round_trip, byte for byte.  Only
 # the sharp density is written back (the density cell of mcp-iso sharp).
 JSON_FORMS = {

@@ -1,6 +1,7 @@
 """Brute-force search: enumeration, tie-breaking, certification."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -17,18 +18,20 @@ from mcp_iso import (
     SharpDensity,
     TabulatedDensity,
     WeightedInterval,
+    avr,
     avr_lower_bound,
     brute_force_profile,
     certify_bound,
     sharp_space,
     unit_ball_volume,
 )
-from mcp_iso import search
+from mcp_iso import measure, minkowski_content, search
 from mcp_iso.profile import cone_radius, log_cone_coefficient
 from mcp_iso.search import (
     _by_measure,
     _grid_and_measures,
     _join,
+    _merge_rank,
     _pair_window,
     _prune,
     _cone_window,
@@ -454,6 +457,102 @@ def test_window_on_exact_ends_empty_windows_and_one_slot():
     assert _assert_window([0.3], [-0.3, 0.0, 0.1], 0.3, 0.05) == [(1, 1), (0, 1), (0, 0)]
 
 
+def _reference_window(x, a, v, tau, block=128):
+    """(lo, hi) from the per-offset test v - tau <= fl(a + x[k]) <= v + tau,
+    made in numpy blocks of offsets; asserts each window is one slot range."""
+    lo, hi = np.empty(len(a), dtype=np.intp), np.empty(len(a), dtype=np.intp)
+    slots = np.arange(len(x))
+    for at in range(0, len(a), block):
+        with np.errstate(over="ignore"):
+            sums = a[at:at + block, None] + x[None, :]
+        inside = (v - tau <= sums) & (sums <= v + tau)
+        lo[at:at + block] = (sums < v - tau).sum(axis=1)
+        hi[at:at + block] = lo[at:at + block] + inside.sum(axis=1)
+        ranges = (lo[at:at + block, None] <= slots) & (slots < hi[at:at + block, None])
+        assert np.array_equal(inside, ranges)
+    return lo, hi
+
+
+def _assert_window_matches_reference(x, a, v, tau):
+    np.testing.assert_array_equal(_window(x, a, v, tau), _reference_window(x, a, v, tau))
+
+
+# The one-component search-1c cases at grid 4096: (space, N, avr, volumes).
+SEARCH_1C = (
+    (sharp_space(1.0 / (2.0 * math.pi), 1.0, 2.0)[0], 2.0, 1.0 / (2.0 * math.pi), (0.6, 1.4)),
+    (sharp_space(0.5, 2.0, 3.0)[0], 3.0, 0.5, (1.2, 2.8)),
+    (WeightedInterval(math.inf, MonomialDensity(2.0 * math.pi, 1.0)), 2.0, 1.0, (0.7, 1.6)),
+    (WeightedInterval(3.0, PiecewiseMonomialDensity((1.35,), ((1.0, 1.5), (1.35 ** 0.825, 0.675)))),
+     3.0, 0.0, (0.35, 0.7)),
+)
+
+
+def _certify_grid(space, N, avr_value, v, grid_points):
+    """(prefix, v, tau) of the grid certify_bound searches at volume v."""
+    window = _cone_window(N, avr_value, v) if avr_value > 0.0 else space.D
+    prefix = _grid_and_measures(space, window, grid_points)[1]
+    if avr_value == 0.0:
+        v *= float(prefix[-1])  # a share of the bounded space's mass
+    return prefix, v, max(1e-9, 1.05 * float(np.diff(prefix).max()))
+
+
+@pytest.mark.parametrize("case", range(len(SEARCH_1C)))
+def test_window_matches_the_reference_on_benchmark_grids(case):
+    space, N, avr_value, volumes = SEARCH_1C[case]
+    for v in volumes:
+        prefix, v, tau = _certify_grid(space, N, avr_value, v, 4096)
+        _assert_window_matches_reference(prefix, -prefix, v, tau)
+
+
+def test_pair_window_matches_the_reference_at_benchmark_size():
+    # The cone's intervals at grid 512, as certify-2c pairs them.
+    space, N, avr_value, _ = SEARCH_1C[2]
+    prefix, v, tau = _certify_grid(space, N, avr_value, 2.0, 512)
+    lo, hi = _window(prefix, -prefix, v, tau)
+    starts = np.arange(len(prefix))
+    iv_i = np.repeat(starts, hi - starts)
+    iv_j = np.concatenate([np.arange(i, h) for i, h in zip(starts.tolist(), hi.tolist())])
+    x = np.sort(prefix[iv_j] - prefix[iv_i])
+    assert len(x) == 37455
+    every = slice(None, None, 97)
+    expected = _reference_window(x, x[::-1][every], v, tau)
+    np.testing.assert_array_equal(_pair_window(x, v, tau)[:, every], expected)
+    np.testing.assert_array_equal(_window(x, x[::-1], v, tau)[:, every], expected)
+
+
+def test_merge_rank_is_searchsorted_on_long_runs_zeros_and_infinities():
+    rng = np.random.default_rng(39)
+    for _ in range(40):
+        # Runs of 64 to 200 equal values, so the merge gallops.
+        values = np.sort(rng.choice(np.arange(-6, 7), int(rng.integers(1, 6)), replace=False))
+        x = np.repeat(values * 0.1, rng.integers(64, 201, len(values)))
+        keys = np.sort(np.repeat(rng.integers(-8, 9, int(rng.integers(1, 5))) * 0.1,
+                                 rng.integers(1, 150, 1)))
+        for k in (keys, keys[::-1]):
+            for side in ("left", "right"):
+                assert np.array_equal(_merge_rank(x, k, side), np.searchsorted(x, k, side))
+        v, tau = rng.integers(-10, 11) * 0.05, rng.integers(1, 5) * 0.05
+        for offsets in (keys, keys[::-1], -x, x[::-1]):
+            _assert_window_matches_reference(x, offsets, v, tau)
+    # +-0.0 ties either way, one-element arrays and keys past the float range.
+    edges = (
+        (np.array([-0.0, -0.0, 0.0, 0.0]), np.array([0.0, -0.0])),
+        (np.array([0.0]), np.array([-0.0])),
+        (np.array([1.0]), np.array([1.0])),
+        (np.array([-1e308, 1.0, 1e308]), np.array([-np.inf, -np.inf, 0.0, np.inf])),
+    )
+    for x, keys in edges:
+        for k in (keys, keys[::-1]):
+            for side in ("left", "right"):
+                assert np.array_equal(_merge_rank(x, k, side), np.searchsorted(x, k, side))
+    big = np.repeat([-1.7e308, 0.0, 1.7e308], 64)
+    with np.errstate(over="ignore"):  # the widened keys overflow to +-inf
+        for offsets in (big, big[::-1], np.array([1.7e308]), np.array([-0.0])):
+            for v, tau in ((0.0, 1.0), (1.5e308, 1e308), (-1.5e308, 1e308), (0.0, 1e-300)):
+                _assert_window_matches_reference(big, offsets, v, tau)
+                _assert_window_matches_reference(np.array([0.0]), offsets, v, tau)
+
+
 @pytest.mark.parametrize("components", [1, 2])
 @pytest.mark.parametrize("family", ["constant", "monomial", "piecewise", "sharp", "tabulated"])
 def test_search_matches_naive_enumeration(family, components):
@@ -470,6 +569,31 @@ def test_envelope_corpus_matches_naive_enumeration(components):
     for member in envelopes + power_corpus(envelopes, seed=38) + product_corpus(envelopes):
         case = _narrow_case(WeightedInterval(member.D, member.h), member.window, rng, 24)
         _assert_matches_naive(*case, components)
+
+
+def test_best_sets_meet_the_volume_growth_bound():
+    # The paper's inequality on the search's own output, with no slack: each
+    # best set E of a half-line space at its own avr has content(E) >=
+    # B(measure(E)); the empty set passes, as B(0) = 0.
+    envelopes = envelope_corpus(16, seed=38)
+    members = envelopes + power_corpus(envelopes, seed=38) + product_corpus(envelopes)
+    spaces = [(WeightedInterval(m.D, m.h), m.label) for m in members if m.D == math.inf]
+    spaces = [(space, N, avr(space, N)) for space, N in spaces]
+    spaces = [case for case in spaces if case[2] > 0.0]
+    assert len(spaces) == 9
+    for N in (2.0, 3.0, 5.0, 10.0):
+        spaces += [(sharp_space(lam, lam, N)[0], N, lam) for lam in (1e-3, 1.0, 1e3)]
+    for (space, N, avr_value), grid_points, components in itertools.product(
+            spaces, (64, 512), (1, 2)):
+        cfg = SearchConfig(target_volume=0.0, volume_tolerance=1e-9,
+                           grid_points=grid_points, max_components=components)
+        # Volumes around the one whose cone ball has radius 1.
+        mass = math.exp(log_cone_coefficient(N, avr_value)) / N
+        report = certify_bound(space, N, avr_value, [0.3 * mass, 2.0 * mass], cfg)
+        for row in report.rows:
+            least = avr_lower_bound(N, avr_value, measure(space, row.best_set))
+            assert minkowski_content(space, row.best_set) == row.content
+            assert row.content >= least * (1.0 - 1e-12), (space, N, row)
 
 
 def _assert_matches_naive(space, window, n, v, tau, components=1):
